@@ -25,17 +25,13 @@ Run::
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import os
-import platform
 import random
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Optional
 
+from benchmarks.perf import trajectory
 from repro.core.classad import (
     ClassAd,
     Expression,
@@ -56,12 +52,9 @@ __all__ = [
     "measure_bid_path",
     "measure_discover",
     "run_classad_bench",
-    "load_classad_trajectory",
 ]
 
-CLASSAD_BENCH_PATH = Path(__file__).resolve().parent.parent / "results" / (
-    "BENCH_classad.json"
-)
+CLASSAD_BENCH_PATH = trajectory.RESULTS_DIR / "BENCH_classad.json"
 
 PAPER_SEED = 2004
 
@@ -289,15 +282,12 @@ def measure_discover(
 
 
 def run_classad_bench(
-    small: bool = False, out: Optional[Path] = None
+    workload: str = "paper", out: Optional[Path] = None
 ) -> dict:
     """Run all three sections; append the record to the trajectory."""
+    small = workload == "small"
     clear_parse_cache()
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
+    fields = {
         "eval": measure_eval_throughput(
             reparse_evals=1500 if small else 4000,
             fast_evals=60_000 if small else 200_000,
@@ -309,43 +299,8 @@ def run_classad_bench(
         ),
         "parse_cache": parse_cache_info(),
     }
-    path = out or CLASSAD_BENCH_PATH
-    trajectory = load_classad_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return record
-
-
-def load_classad_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded classad trajectory (empty if absent/corrupt)."""
-    path = path or CLASSAD_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="scaled-down workload (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="trajectory file path"
-    )
-    args = parser.parse_args()
-    record = run_classad_bench(small=args.small, out=args.out)
-    print(json.dumps(record, indent=2))
+    return trajectory.append(out or CLASSAD_BENCH_PATH, workload, fields)
 
 
 if __name__ == "__main__":
-    main()
+    trajectory.main(run_classad_bench, __doc__)

@@ -28,15 +28,11 @@ Run::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.perf import trajectory
 from repro.experiments.disttree import VARIANTS, run_disttree
 
 __all__ = [
@@ -44,12 +40,11 @@ __all__ = [
     "PAPER_PARAMS",
     "SMALL_PARAMS",
     "run_distribution_bench",
-    "load_distribution_trajectory",
 ]
 
-DISTRIBUTION_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_distribution.json"
+DISTRIBUTION_BENCH_PATH = (
+    trajectory.RESULTS_DIR / "BENCH_distribution.json"
+)
 
 PAPER_SEED = 2004
 
@@ -61,10 +56,10 @@ SMALL_PARAMS = {"hosts": (8, 64), "fanout": 2}
 
 
 def run_distribution_bench(
-    small: bool = False, out: Optional[Path] = None
+    workload: str = "paper", out: Optional[Path] = None
 ) -> dict:
     """Run the ladder; verify determinism; append to the trajectory."""
-    params = SMALL_PARAMS if small else PAPER_PARAMS
+    params = SMALL_PARAMS if workload == "small" else PAPER_PARAMS
     t0 = time.perf_counter()
     result = run_disttree(seed=PAPER_SEED, **params)
     wall = time.perf_counter() - t0
@@ -84,60 +79,24 @@ def run_distribution_bench(
                 f"{first} then {again}"
             )
 
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "hosts": list(params["hosts"]),
-        "fanout": params["fanout"],
-        "wall_s": round(wall, 2),
-        "points": [
-            p.as_dict()
-            for pts in result.points.values()
-            for p in pts
-        ],
-        "tree_p95_growth": round(result.p95_growth("tree"), 3),
-        "star_p95_growth": round(result.p95_growth("nfs-star"), 3),
-        "determinism_ok": True,
-    }
-    path = out or DISTRIBUTION_BENCH_PATH
-    trajectory = load_distribution_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return record
-
-
-def load_distribution_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded distribution trajectory (empty if absent/corrupt)."""
-    path = path or DISTRIBUTION_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="scaled-down ladder (CI smoke)",
+    return trajectory.append(
+        out or DISTRIBUTION_BENCH_PATH,
+        workload,
+        {
+            "hosts": list(params["hosts"]),
+            "fanout": params["fanout"],
+            "wall_s": round(wall, 2),
+            "points": [
+                p.as_dict()
+                for pts in result.points.values()
+                for p in pts
+            ],
+            "tree_p95_growth": round(result.p95_growth("tree"), 3),
+            "star_p95_growth": round(result.p95_growth("nfs-star"), 3),
+            "determinism_ok": True,
+        },
     )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="trajectory file path"
-    )
-    args = parser.parse_args()
-    record = run_distribution_bench(small=args.small, out=args.out)
-    print(json.dumps(record, indent=2))
 
 
 if __name__ == "__main__":
-    main()
+    trajectory.main(run_distribution_bench, __doc__)

@@ -16,35 +16,27 @@ Run::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import tempfile
-import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.perf import trajectory
 from repro.experiments.federation import run_federation
 
 __all__ = [
     "FEDERATION_BENCH_PATH",
     "run_federation_bench",
-    "load_federation_trajectory",
 ]
 
-FEDERATION_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_federation.json"
+FEDERATION_BENCH_PATH = trajectory.RESULTS_DIR / "BENCH_federation.json"
 
 PAPER_SEED = 2004
 
 
 def run_federation_bench(
-    small: bool = False, out: Optional[Path] = None
+    workload: str = "paper", out: Optional[Path] = None
 ) -> dict:
     """Run the sweep; append the record to the trajectory file."""
-    if small:
+    if workload == "small":
         result = run_federation(
             seed=PAPER_SEED,
             site_counts=(1, 4),
@@ -61,53 +53,12 @@ def run_federation_bench(
             plants_per_site=8,
             requests_per_site=160,
         )
-    record = {
-        "timestamp": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-    }
-    record.update(result.to_record())
-    path = out or FEDERATION_BENCH_PATH
-    trajectory = load_federation_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    record = trajectory.append(
+        out or FEDERATION_BENCH_PATH, workload, result.to_record()
+    )
     print(result.render())
     return record
 
 
-def load_federation_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded benchmark trajectory (empty if absent/corrupt)."""
-    path = path or FEDERATION_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="scaled-down sweep (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="trajectory file path"
-    )
-    args = parser.parse_args()
-    record = run_federation_bench(small=args.small, out=args.out)
-    print(json.dumps(record, indent=2))
-
-
 if __name__ == "__main__":
-    main()
+    trajectory.main(run_federation_bench, __doc__)

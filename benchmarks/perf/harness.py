@@ -27,15 +27,12 @@ Run::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from benchmarks.perf import trajectory
 from benchmarks.perf.classad_bench import run_classad_bench
 from benchmarks.perf.matching_bench import run_matching_bench
 from benchmarks.perf.provision_bench import run_provision_bench
@@ -53,9 +50,7 @@ __all__ = [
     "BENCH_PATH",
 ]
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "results" / (
-    "BENCH_parallel_runner.json"
-)
+BENCH_PATH = trajectory.RESULTS_DIR / "BENCH_parallel_runner.json"
 
 #: Scaled-down plan for smoke runs: same shape, ~10x less work.
 SMALL_RUNS: Dict[int, tuple] = {
@@ -117,7 +112,7 @@ def measure_kernel(
 
 
 def run_harness(
-    small: bool = False,
+    workload: str = "paper",
     out: Optional[Path] = None,
     kernel_count: Optional[int] = None,
     matching: bool = True,
@@ -125,71 +120,37 @@ def run_harness(
     classad: bool = True,
 ) -> dict:
     """Run all measurements; append the record to the trajectory file."""
+    small = workload == "small"
     runs = SMALL_RUNS if small else PAPER_RUNS
     seq_s, par_s = measure_suite(runs)
     cold_s, warm_s = measure_cache(runs)
     if kernel_count is None:
         kernel_count = 16 if small else 64
     events, eps = measure_kernel(count=kernel_count)
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "suite_sequential_s": round(seq_s, 4),
-        "suite_parallel_s": round(par_s, 4),
-        "parallel_speedup": round(seq_s / par_s, 2) if par_s else None,
-        "cache_cold_s": round(cold_s, 4),
-        "cache_warm_s": round(warm_s, 5),
-        "cache_speedup": round(cold_s / warm_s, 1) if warm_s else None,
-        "kernel_events": events,
-        "kernel_events_per_sec": round(eps, 1),
-    }
-    path = out or BENCH_PATH
-    trajectory = load_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    record = trajectory.append(
+        out or BENCH_PATH,
+        workload,
+        {
+            "suite_sequential_s": round(seq_s, 4),
+            "suite_parallel_s": round(par_s, 4),
+            "parallel_speedup": round(seq_s / par_s, 2) if par_s else None,
+            "cache_cold_s": round(cold_s, 4),
+            "cache_warm_s": round(warm_s, 5),
+            "cache_speedup": round(cold_s / warm_s, 1) if warm_s else None,
+            "kernel_events": events,
+            "kernel_events_per_sec": round(eps, 1),
+        },
+    )
     if matching:
         # Separate trajectory file: the matching sweep has its own
         # regression check in CI (see test_perf_smoke.py).
-        record["matching"] = run_matching_bench(small=small)
+        record["matching"] = run_matching_bench(workload)
     if provisioning:
-        record["provisioning"] = run_provision_bench(small=small)
+        record["provisioning"] = run_provision_bench(workload)
     if classad:
-        record["classad"] = run_classad_bench(small=small)
+        record["classad"] = run_classad_bench(workload)
     return record
 
 
-def load_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded benchmark trajectory (empty if absent/corrupt)."""
-    path = path or BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="scaled-down workload (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="trajectory file path"
-    )
-    args = parser.parse_args()
-    record = run_harness(small=args.small, out=args.out)
-    print(json.dumps(record, indent=2))
-
-
 if __name__ == "__main__":
-    main()
+    trajectory.main(run_harness, __doc__)

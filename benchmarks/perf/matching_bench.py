@@ -23,16 +23,12 @@ Run::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from benchmarks.perf import trajectory
 from repro.core.actions import Action
 from repro.core.dag import ConfigDAG
 from repro.core.matching import select_golden
@@ -47,12 +43,9 @@ __all__ = [
     "build_matching_workload",
     "measure_matching",
     "run_matching_bench",
-    "load_matching_trajectory",
 ]
 
-MATCH_BENCH_PATH = Path(__file__).resolve().parent.parent / "results" / (
-    "BENCH_matching.json"
-)
+MATCH_BENCH_PATH = trajectory.RESULTS_DIR / "BENCH_matching.json"
 
 #: Warehouse sizes of the full sweep (ISSUE 2 acceptance: ≥5x @ 1000).
 PAPER_SIZES: Tuple[int, ...] = (10, 100, 1000)
@@ -189,56 +182,20 @@ def measure_matching(
 
 
 def run_matching_bench(
-    small: bool = False, out: Optional[Path] = None
+    workload: str = "paper", out: Optional[Path] = None
 ) -> dict:
     """Sweep warehouse sizes; append the record to the trajectory."""
-    sizes = SMALL_SIZES if small else PAPER_SIZES
+    sizes = SMALL_SIZES if workload == "small" else PAPER_SIZES
     points = [measure_matching(n) for n in sizes]
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "points": points,
-        "speedup_at_max_size": points[-1]["memoized_speedup"],
-    }
-    path = out or MATCH_BENCH_PATH
-    trajectory = load_matching_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return record
-
-
-def load_matching_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded matching trajectory (empty if absent/corrupt)."""
-    path = path or MATCH_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="scaled-down sweep (CI smoke)",
+    return trajectory.append(
+        out or MATCH_BENCH_PATH,
+        workload,
+        {
+            "points": points,
+            "speedup_at_max_size": points[-1]["memoized_speedup"],
+        },
     )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="trajectory file path"
-    )
-    args = parser.parse_args()
-    record = run_matching_bench(small=args.small, out=args.out)
-    print(json.dumps(record, indent=2))
 
 
 if __name__ == "__main__":
-    main()
+    trajectory.main(run_matching_bench, __doc__)

@@ -17,26 +17,19 @@ Run::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.perf import trajectory
 from repro.experiments.megachaos import run_megachaos
 
 __all__ = [
     "MEGACHAOS_BENCH_PATH",
     "run_megachaos_bench",
-    "load_megachaos_trajectory",
 ]
 
-MEGACHAOS_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_megachaos.json"
+MEGACHAOS_BENCH_PATH = trajectory.RESULTS_DIR / "BENCH_megachaos.json"
 
 PAPER_SEED = 2004
 
@@ -63,59 +56,20 @@ def run_megachaos_bench(
         deadline_s=None,
     )
     wall_s = time.perf_counter() - t0
-    record = {
-        "timestamp": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "workload": workload,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        # Wall-clock lives only in the bench trajectory — the
-        # experiment's own report stays replay-stable without it.
-        "ladder_wall_s": round(wall_s, 3),
-        "availability_ladder": result.availability_ladder(),
-    }
-    record.update(result.to_records())
-    path = out or MEGACHAOS_BENCH_PATH
-    trajectory = load_megachaos_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    record = trajectory.append(
+        out or MEGACHAOS_BENCH_PATH,
+        workload,
+        {
+            # Wall-clock lives only in the bench trajectory — the
+            # experiment's own report stays replay-stable without it.
+            "ladder_wall_s": round(wall_s, 3),
+            "availability_ladder": result.availability_ladder(),
+            **result.to_records(),
+        },
+    )
     print(result.render())
     return record
 
 
-def load_megachaos_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded benchmark trajectory (empty if absent/corrupt)."""
-    path = path or MEGACHAOS_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="scaled-down ladder (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="trajectory file path"
-    )
-    args = parser.parse_args()
-    record = run_megachaos_bench(
-        workload="small" if args.small else "paper", out=args.out
-    )
-    print(json.dumps(record, indent=2))
-
-
 if __name__ == "__main__":
-    main()
+    trajectory.main(run_megachaos_bench, __doc__)

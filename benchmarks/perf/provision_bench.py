@@ -19,15 +19,11 @@ Run::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.perf import trajectory
 from repro.experiments.loadtest import run_loadtest
 
 __all__ = [
@@ -35,12 +31,9 @@ __all__ = [
     "PAPER_PARAMS",
     "SMALL_PARAMS",
     "run_provision_bench",
-    "load_provision_trajectory",
 ]
 
-PROVISION_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_provisioning.json"
+PROVISION_BENCH_PATH = trajectory.RESULTS_DIR / "BENCH_provisioning.json"
 
 PAPER_SEED = 2004
 
@@ -52,10 +45,10 @@ SMALL_PARAMS = {"requests": 16, "rates": (0.05, 0.4), "n_plants": 4}
 
 
 def run_provision_bench(
-    small: bool = False, out: Optional[Path] = None
+    workload: str = "paper", out: Optional[Path] = None
 ) -> dict:
     """Run the sweep; verify determinism; append to the trajectory."""
-    params = SMALL_PARAMS if small else PAPER_PARAMS
+    params = SMALL_PARAMS if workload == "small" else PAPER_PARAMS
     t0 = time.perf_counter()
     result = run_loadtest(seed=PAPER_SEED, **params)
     wall = time.perf_counter() - t0
@@ -79,65 +72,29 @@ def run_provision_bench(
                 f"{first} then {again}"
             )
 
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workload": "small" if small else "paper",
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "requests": params["requests"],
-        "n_plants": params["n_plants"],
-        "rates": list(params["rates"]),
-        "wall_s": round(wall, 2),
-        "points": [
-            p.as_dict()
-            for pts in result.points.values()
-            for p in pts
-        ],
-        "throughput_speedup_at_max_rate": round(
-            result.speedup_at(top), 2
-        ),
-        "p95_improvement_at_max_rate": round(
-            result.p95_improvement_at(top), 2
-        ),
-        "determinism_ok": True,
-    }
-    path = out or PROVISION_BENCH_PATH
-    trajectory = load_provision_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return record
-
-
-def load_provision_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded provisioning trajectory (empty if absent/corrupt)."""
-    path = path or PROVISION_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="scaled-down sweep (CI smoke)",
+    return trajectory.append(
+        out or PROVISION_BENCH_PATH,
+        workload,
+        {
+            "requests": params["requests"],
+            "n_plants": params["n_plants"],
+            "rates": list(params["rates"]),
+            "wall_s": round(wall, 2),
+            "points": [
+                p.as_dict()
+                for pts in result.points.values()
+                for p in pts
+            ],
+            "throughput_speedup_at_max_rate": round(
+                result.speedup_at(top), 2
+            ),
+            "p95_improvement_at_max_rate": round(
+                result.p95_improvement_at(top), 2
+            ),
+            "determinism_ok": True,
+        },
     )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="trajectory file path"
-    )
-    args = parser.parse_args()
-    record = run_provision_bench(small=args.small, out=args.out)
-    print(json.dumps(record, indent=2))
 
 
 if __name__ == "__main__":
-    main()
+    trajectory.main(run_provision_bench, __doc__)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.perf.federation_bench import load_federation_trajectory
+from benchmarks.perf import trajectory
+from benchmarks.perf.federation_bench import FEDERATION_BENCH_PATH
 from repro.experiments.federation import percentile, run_federation
 
 #: Small same-run sweep: 4 sites, one worker per site, few enough
@@ -51,9 +52,8 @@ def test_federated_bids_scale_with_sites(smoke_sweep):
 def test_federation_run_is_deterministic(smoke_sweep):
     """Merged-trace fingerprints must agree across shard counts and
     reproduce across repeats of the same (seed, partition)."""
-    assert smoke_sweep.deterministic, (
-        f"fingerprints diverged: {smoke_sweep.fingerprints} "
-        f"repeat={smoke_sweep.repeat_fingerprint}"
+    assert smoke_sweep.determinism.ok, (
+        smoke_sweep.determinism.report_line()
     )
 
 
@@ -76,6 +76,11 @@ def test_percentile_helper():
     values = list(range(1, 101))
     assert percentile(values, 50.0) == 50
     assert percentile(values, 95.0) == 95
+    # Nearest rank is ceil(q/100 * n): halves round up, never to even.
+    assert percentile([1, 2, 3, 4, 5], 50.0) == 3
+    assert percentile(range(1, 10), 50.0) == 5
+    assert percentile([5, 1, 3], 50.0) == 3
+    assert percentile([1, 2, 3, 4, 5, 6, 7], 95.0) == 7
 
 
 def test_federation_regression_vs_trajectory(smoke_sweep):
@@ -86,7 +91,7 @@ def test_federation_regression_vs_trajectory(smoke_sweep):
     from the acceptance criteria, and the same-run single-site bid
     rate must stay within 2x of the recorded best.
     """
-    records = load_federation_trajectory()
+    records = trajectory.load(FEDERATION_BENCH_PATH)
     if not records:
         pytest.skip("no recorded federation-bench trajectory")
     for rec in records:

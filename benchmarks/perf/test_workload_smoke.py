@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.perf.workload_bench import load_workload_trajectory
+from benchmarks.perf import trajectory
+from benchmarks.perf.workload_bench import WORKLOAD_BENCH_PATH
 from repro.experiments.megaload import run_megaload
 
 #: Small same-run sweep: finishes in seconds on a loaded CI runner.
@@ -33,10 +34,8 @@ def smoke_sweep():
 def test_megaload_run_is_deterministic(smoke_sweep):
     """Merged-trace fingerprints must agree across shard counts and
     reproduce across repeats, under bounded tracers."""
-    assert smoke_sweep.deterministic, (
-        f"fingerprints diverged: {smoke_sweep.fingerprints} "
-        f"repeat={smoke_sweep.repeat_fingerprint} "
-        f"sketch_equal={smoke_sweep.sketch_equal}"
+    assert smoke_sweep.determinism.ok, (
+        smoke_sweep.determinism.report_line()
     )
 
 
@@ -75,7 +74,7 @@ def test_workload_regression_vs_trajectory(smoke_sweep):
     the same-run single-shard request rate must stay within 2x of the
     recorded best.
     """
-    records = load_workload_trajectory()
+    records = trajectory.load(WORKLOAD_BENCH_PATH)
     if not records:
         pytest.skip("no recorded workload-bench trajectory")
     for rec in records:

@@ -19,26 +19,18 @@ Run::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import tempfile
-import time
 from pathlib import Path
 from typing import Optional
 
+from benchmarks.perf import trajectory
 from repro.experiments.megaload import run_megaload
 
 __all__ = [
     "WORKLOAD_BENCH_PATH",
     "run_workload_bench",
-    "load_workload_trajectory",
 ]
 
-WORKLOAD_BENCH_PATH = Path(__file__).resolve().parent.parent / (
-    "results"
-) / "BENCH_workload.json"
+WORKLOAD_BENCH_PATH = trajectory.RESULTS_DIR / "BENCH_workload.json"
 
 PAPER_SEED = 2004
 
@@ -67,63 +59,12 @@ def run_workload_bench(
         deadline_s=None,
         trace_capacity=100_000,
     )
-    record = {
-        "timestamp": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "workload": workload,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-    }
-    record.update(result.to_record())
-    path = out or WORKLOAD_BENCH_PATH
-    trajectory = load_workload_trajectory(path)
-    trajectory.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    record = trajectory.append(
+        out or WORKLOAD_BENCH_PATH, workload, result.to_record()
+    )
     print(result.render())
     return record
 
 
-def load_workload_trajectory(path: Optional[Path] = None) -> list:
-    """The recorded benchmark trajectory (empty if absent/corrupt)."""
-    path = path or WORKLOAD_BENCH_PATH
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, list) else []
-    except (OSError, ValueError):
-        return []
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--small",
-        action="store_true",
-        help="scaled-down sweep (CI smoke)",
-    )
-    parser.add_argument(
-        "--million",
-        action="store_true",
-        help="the 1,000,000-request rung (16 sites x 62500)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="trajectory file path"
-    )
-    args = parser.parse_args()
-    if args.small and args.million:
-        parser.error("--small and --million are mutually exclusive")
-    workload = (
-        "small" if args.small else "million" if args.million else "paper"
-    )
-    record = run_workload_bench(workload=workload, out=args.out)
-    print(json.dumps(record, indent=2))
-
-
 if __name__ == "__main__":
-    main()
+    trajectory.main(run_workload_bench, __doc__, rungs=("small", "million"))

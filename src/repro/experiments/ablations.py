@@ -32,6 +32,7 @@ from repro.experiments.runner import run_creation_experiment
 from repro.plant.production import CloneMode
 from repro.plant.speculative import SpeculativeClonePool
 from repro.plant.warehouse import GoldenImage
+from repro.provisioning import ProvisioningConfig
 from repro.sim.cluster import build_testbed
 from repro.workloads.invigo import invigo_cached_prefix, invigo_workspace_dag
 from repro.workloads.requests import experiment_request
@@ -306,6 +307,11 @@ class StateCacheAblation:
         )
 
 
+#: The cached side of the state-cache ablation: a host golden-state
+#: cache large enough to keep every image the run clones.
+STATE_CACHE_PROVISIONING = ProvisioningConfig(host_cache_mb=1024.0)
+
+
 def run_state_cache_ablation(
     seed: int = 2004, count: int = 8, memory_mb: int = 256
 ) -> StateCacheAblation:
@@ -316,9 +322,11 @@ def run_state_cache_ablation(
     """
     summaries = {}
     for cached in (False, True):
-        bed = build_testbed(seed=seed, n_plants=2)
-        for line in bed.lines["vmware"]:
-            line.local_state_cache = cached
+        bed = build_testbed(
+            seed=seed,
+            n_plants=2,
+            provisioning=STATE_CACHE_PROVISIONING if cached else None,
+        )
         run = run_creation_experiment(
             memory_mb, count, seed=seed, testbed=bed
         )

@@ -34,9 +34,16 @@ to 400 — must be raised for cross-site acks to beat it.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.sharded import (
+    DeterminismCheck,
+    agg_site_rate,
+    recheck_determinism,
+    shard_cpu_s,
+)
 from repro.sim.shard import ShardedTestbed
 
 __all__ = [
@@ -52,10 +59,8 @@ def percentile(values: Sequence[float], q: float) -> float:
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(
-        0, min(len(ordered) - 1, int(round(q / 100.0 * len(ordered))) - 1)
-    )
-    return ordered[rank]
+    rank = math.ceil(q * len(ordered) / 100.0)
+    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 @dataclass(frozen=True)
@@ -113,14 +118,8 @@ class FederationResult:
     cross_fractions: Tuple[float, ...]
     params: Dict[str, Any]
     points: List[FederationPoint] = field(default_factory=list)
-    #: shard count -> merged-trace fingerprint (largest grid).
-    fingerprints: Dict[int, str] = field(default_factory=dict)
-    repeat_fingerprint: str = ""
-
-    @property
-    def deterministic(self) -> bool:
-        fps = set(self.fingerprints.values())
-        return len(fps) == 1 and self.repeat_fingerprint in fps
+    #: The largest grid, small, at 1 shard and one shard per site.
+    determinism: DeterminismCheck = field(default_factory=DeterminismCheck)
 
     def point(
         self, sites: int, cross_fraction: float
@@ -170,19 +169,7 @@ class FederationResult:
                 f"{p.p95_latency_s:>8.1f}"
             )
         lines.append("-" * 78)
-        fps = sorted(set(self.fingerprints.values()))
-        if self.deterministic:
-            lines.append(
-                f"determinism: merged-trace fingerprint {fps[0][:16]} "
-                f"identical at shard counts {sorted(self.fingerprints)} "
-                f"and across repeats"
-            )
-        else:
-            lines.append(
-                "determinism: FAILED — fingerprints "
-                f"{ {k: v[:16] for k, v in self.fingerprints.items()} } "
-                f"repeat {self.repeat_fingerprint[:16]}"
-            )
+        lines.append(self.determinism.report_line())
         return "\n".join(lines)
 
     def to_record(self) -> dict:
@@ -197,26 +184,9 @@ class FederationResult:
                 for s in self.site_counts
                 for cf in self.cross_fractions
             },
-            "deterministic": self.deterministic,
-            "fingerprint": next(iter(self.fingerprints.values()), ""),
+            "deterministic": self.determinism.ok,
+            "fingerprint": self.determinism.fingerprint,
         }
-
-
-def _site_bids(run) -> Dict[int, int]:
-    return {
-        r["site"]: int(r["stats"].get("bids_collected", 0))
-        for r in run.site_results
-    }
-
-
-def _agg_bids_per_sec(run) -> float:
-    """Sum over shards of (its sites' bids / its CPU-seconds)."""
-    bids = _site_bids(run)
-    total = 0.0
-    for s in run.shard_results:
-        if s["cpu_s"] > 0:
-            total += sum(bids[site] for site in s["sites"]) / s["cpu_s"]
-    return total
 
 
 def run_federation(
@@ -279,12 +249,10 @@ def run_federation(
                     plants=sites * run.params["plants"],
                     events=run.total_events,
                     wall_s=run.wall_s,
-                    cpu_s=sum(
-                        s["cpu_s"] for s in run.shard_results
-                    ),
+                    cpu_s=shard_cpu_s(run),
                     agg_events_per_sec=run.agg_events_per_sec,
                     bids=int(stats.get("bids_collected", 0)),
-                    agg_bids_per_sec=_agg_bids_per_sec(run),
+                    agg_bids_per_sec=agg_site_rate(run, "bids_collected"),
                     created=int(stats.get("created", 0)),
                     destroyed=int(stats.get("destroyed", 0)),
                     failed=int(stats.get("failed", 0)),
@@ -302,26 +270,12 @@ def run_federation(
     det_prm["cross_fraction"] = (
         cross_fractions[-1] if cross_fractions else 0.1
     )
-    det_counts = sorted({1, det_sites})
-    for shards in det_counts:
-        plan = ShardedTestbed(
-            seed=seed,
-            sites=det_sites,
-            shards=shards,
-            scenario="federation",
-        )
-        run = plan.run(
-            params=det_prm, collect="fingerprint", deadline_s=deadline_s
-        )
-        result.fingerprints[shards] = run.fingerprint()
-    plan = ShardedTestbed(
-        seed=seed,
-        sites=det_sites,
-        shards=det_counts[-1],
-        scenario="federation",
+    result.determinism = recheck_determinism(
+        "federation",
+        seed,
+        det_sites,
+        (1, det_sites),
+        det_prm,
+        deadline_s,
     )
-    run = plan.run(
-        params=det_prm, collect="fingerprint", deadline_s=deadline_s
-    )
-    result.repeat_fingerprint = run.fingerprint()
     return result

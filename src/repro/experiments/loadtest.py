@@ -42,6 +42,7 @@ __all__ = [
     "VARIANTS",
     "LoadPoint",
     "LoadTestResult",
+    "latency_fingerprint",
     "run_loadtest",
 ]
 
@@ -189,7 +190,8 @@ class LoadTestResult:
         return "\n".join(lines)
 
 
-def _fingerprint(latencies: Sequence[float]) -> str:
+def latency_fingerprint(latencies: Sequence[float]) -> str:
+    """Short SHA-256 of per-request latencies at nanosecond precision."""
     payload = ",".join(f"{v:.9f}" for v in latencies)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -199,7 +201,7 @@ class _StreamingLatencies:
 
     Keeps a :class:`~repro.analysis.streaming.StreamSummary` plus an
     incremental SHA-256 over exactly the bytes
-    ``",".join(f"{v:.9f}")`` — the :func:`_fingerprint` layout — so
+    ``",".join(f"{v:.9f}")`` — the :func:`latency_fingerprint` layout — so
     streaming and full-list runs report identical fingerprints.
     """
 
@@ -283,7 +285,7 @@ def _run_point(
         p50 = float(np.percentile(sample, 50)) if ok else float("nan")
         p95 = float(np.percentile(sample, 95)) if ok else float("nan")
         mean = float(sample.mean()) if ok else float("nan")
-        fingerprint = _fingerprint(latencies)
+        fingerprint = latency_fingerprint(latencies)
     dropped = (
         bed.env.tracer.dropped if trace_capacity is not None else 0
     )

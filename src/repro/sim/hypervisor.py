@@ -65,8 +65,7 @@ class CloneRecord:
     host_vms_before: int
     #: Where the per-clone state came from: ``"nfs"`` (warehouse
     #: transfer), ``"coalesced"`` (shared an in-flight transfer),
-    #: ``"host-cache"`` (warm host LRU cache), ``"line-cache"``
-    #: (the legacy per-line replica ablation), ``"peer"`` (one hop of
+    #: ``"host-cache"`` (warm host LRU cache), ``"peer"`` (one hop of
     #: a distribution tree) or ``"local"`` (peer store already seeded
     #: by the placer or an earlier tree delivery).
     copy_source: str = "nfs"
@@ -98,7 +97,6 @@ class _SimLine(ProductionLine):
         clone_failure_prob: float = 0.0,
         action_failure_prob: float = 0.0,
         admission_overcommit: float = 2.0,
-        local_state_cache: bool = False,
         coalesce_transfers: bool = False,
         distribution=None,
     ):
@@ -114,10 +112,6 @@ class _SimLine(ProductionLine):
         self.clone_failure_prob = clone_failure_prob
         self.action_failure_prob = action_failure_prob
         self.admission_overcommit = admission_overcommit
-        #: Keep a local replica of each golden machine's per-clone
-        #: state after the first clone (an optimization the paper's
-        #: NFS-per-clone design invites; off for paper reproduction).
-        self.local_state_cache = local_state_cache
         #: Share in-flight warehouse transfers per (host, image)?
         self.coalesce_transfers = coalesce_transfers
         #: Optional peer-tree planner
@@ -125,7 +119,6 @@ class _SimLine(ProductionLine):
         #: LINK-mode state rides the broadcast tree instead of the
         #: star-topology warehouse pull.
         self.distribution = distribution
-        self._cached_images: set = set()
         self.clone_records: List[CloneRecord] = []
         #: vmid → guest MB admitted but not yet running (in-flight
         #: clones); lets :meth:`abort` release exactly once.
@@ -152,7 +145,6 @@ class _SimLine(ProductionLine):
     def host_crashed(self) -> None:
         """React to the host crashing: local disk state is gone."""
         self.host.crash()
-        self._cached_images.clear()
         if self.host.state_cache is not None:
             self.host.state_cache.clear()
         if self.distribution is not None:
@@ -219,8 +211,8 @@ class _SimLine(ProductionLine):
 
         Returns ``(seconds, source)`` where ``source`` records which
         path served the bytes (see :class:`CloneRecord.copy_source`).
-        LINK-mode state can come from the legacy per-line replica, the
-        host's LRU golden-state cache, or a coalesced in-flight
+        LINK-mode state can come from the host's LRU golden-state
+        cache, a peer distribution tree, or a coalesced in-flight
         transfer; the default configuration always takes the plain
         warehouse transfer, exactly as the paper measures.
         """
@@ -231,16 +223,6 @@ class _SimLine(ProductionLine):
             payload += image.disk_state_mb
             files += image.disk_files
         cache = self.host.state_cache if mode is CloneMode.LINK else None
-        if (
-            self.local_state_cache
-            and mode is CloneMode.LINK
-            and image.image_id in self._cached_images
-        ):
-            # Replicate from the node-local replica: a read + write on
-            # the local disk, no NFS traffic.
-            yield from self.host.disk_read(payload)
-            yield from self.host.disk_write(payload)
-            return self.env.now - start, "line-cache"
         if cache is not None and cache.lookup(image.image_id):
             # Warm host cache: the state is already on the local disk.
             yield from self.host.disk_read(payload)
@@ -253,7 +235,6 @@ class _SimLine(ProductionLine):
             source = yield from self.distribution.fetch(
                 self.host, image.image_id, payload, files=files
             )
-            self._cached_images.add(image.image_id)
             return self.env.now - start, source
         if self.coalesce_transfers:
             source = yield from self.nfs.copy_to_host_coalesced(
@@ -267,7 +248,6 @@ class _SimLine(ProductionLine):
                 payload, self.host, files=files
             )
             source = "nfs"
-        self._cached_images.add(image.image_id)
         if cache is not None:
             cache.insert(image.image_id, payload)
         # Soft-link creation for the shared base disk is effectively free.

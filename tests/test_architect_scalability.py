@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.errors import ShopError, VNetError
-from repro.experiments.ablations import run_state_cache_ablation
+from repro.experiments.ablations import (
+    STATE_CACHE_PROVISIONING,
+    run_state_cache_ablation,
+)
+from repro.experiments.runner import run_creation_experiment
 from repro.experiments.scalability import (
     run_matching_scalability,
     run_scalability,
@@ -200,9 +204,18 @@ class TestStateCacheAblation:
         assert result.steady_state_speedup > 1.15
         assert "replica" in result.render()
 
-    def test_cache_flag_isolated_per_line(self):
-        bed = build_testbed(seed=41, n_plants=1)
-        line = bed.lines["vmware"][0]
-        assert line.local_state_cache is False
-        bed.run(bed.shop.create(experiment_request(32)))
-        assert "vmware-mandrake81-32mb" in line._cached_images
+    def test_repeat_clones_served_from_host_cache(self):
+        bed = build_testbed(
+            seed=41, n_plants=2, provisioning=STATE_CACHE_PROVISIONING
+        )
+        run_creation_experiment(256, 6, seed=41, testbed=bed)
+        per_line = [
+            [r.copy_source for r in line.clone_records]
+            for line in bed.lines["vmware"]
+        ]
+        assert sum(map(len, per_line)) == 6
+        for sources in per_line:
+            # Each host's first clone fills its cache from NFS.
+            assert sources[:1] == ["nfs"]
+            assert sources[1:] == ["host-cache"] * (len(sources) - 1)
+        assert any(len(sources) > 1 for sources in per_line)

@@ -280,7 +280,7 @@ class TestMegaLoadExperiment:
             determinism_requests=15,
             trace_capacity=5_000,
         )
-        assert result.deterministic
+        assert result.determinism.ok
         assert result.sketch_equal
         assert len(result.points) == 2
         for p in result.points:

@@ -29,6 +29,11 @@ instead of per-call dict copies and DFS walks.  Every cache is
 invalidated by the mutators (:meth:`ConfigDAG.add_action`,
 :meth:`ConfigDAG.add_edge`, :meth:`ConfigDAG.attach_handler`), so a
 DAG that is still being built behaves exactly like an uncached one.
+
+A :meth:`ConfigDAG.seal`-ed DAG is read-only: the mutators raise
+:class:`~repro.core.errors.DAGError`.  The request decoder seals the
+DAGs it interns, so one decoded object (and its memos) can serve every
+request that carries the same DAG.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ class ConfigDAG:
         self._succ: Dict[str, List[str]] = {}
         self._pred: Dict[str, List[str]] = {}
         self._handlers: Dict[str, "ConfigDAG"] = {}
+        self._sealed = False
         #: Bumped on every mutation; guards every structural cache.
         self._version = 0
         self._invalidate()
@@ -100,8 +106,25 @@ class ConfigDAG:
         )
 
     # -- construction ----------------------------------------------------
+    def seal(self) -> "ConfigDAG":
+        """Make this DAG and its handler DAGs read-only (irreversible)."""
+        self._sealed = True
+        for handler in self._handlers.values():
+            handler.seal()
+        return self
+
+    @property
+    def sealed(self) -> bool:
+        """True once :meth:`seal` has been called."""
+        return self._sealed
+
+    def _check_mutable(self) -> None:
+        if self._sealed:
+            raise DAGError("DAG is sealed (read-only)")
+
     def add_action(self, action: Action) -> "ConfigDAG":
         """Add an action node.  Names must be unique and not reserved."""
+        self._check_mutable()
         if action.name in _RESERVED:
             raise DAGError(f"{action.name!r} is a reserved node name")
         if action.name in self._actions:
@@ -114,6 +137,7 @@ class ConfigDAG:
 
     def add_edge(self, before: str, after: str) -> "ConfigDAG":
         """Require ``before`` to complete before ``after`` starts."""
+        self._check_mutable()
         for node in (before, after):
             if node not in self._actions:
                 raise DAGError(f"unknown action {node!r}")
@@ -132,6 +156,7 @@ class ConfigDAG:
 
     def attach_handler(self, action: str, handler: "ConfigDAG") -> "ConfigDAG":
         """Attach an explicit error-handling sub-graph to ``action``."""
+        self._check_mutable()
         if action not in self._actions:
             raise DAGError(f"unknown action {action!r}")
         handler.validate()

@@ -24,15 +24,30 @@ round-trips :class:`~repro.core.dag.ConfigDAG` and
       </software>
     </vmplant-request>
 
-Parsing is strict: unknown elements, missing attributes and malformed
-structure raise :class:`~repro.core.errors.ProtocolError`.
+Parsing is strict: unknown elements, missing attributes, malformed
+numbers and malformed structure raise
+:class:`~repro.core.errors.ProtocolError`.
+
+Performance
+-----------
+Every ``VMShop.create`` goes through this codec, so it costs one string
+build and one parse per request.  The encoders write the text directly
+(escaping attribute values with ElementTree's own escaper, so the bytes
+are exactly what ``ET.tostring`` would emit for the same element tree),
+and the request decoder works on the already-parsed root.  Decoded
+request DAGs are interned by the structure of their ``<dag>`` element:
+every request carrying the same DAG shares one sealed (read-only)
+:class:`~repro.core.dag.ConfigDAG`, whose memoized topological order,
+fingerprint and matching tables then serve every create.  The public
+DAG decoders (:func:`dag_from_xml`, :func:`dag_from_element`) still
+return fresh, mutable DAGs.
 """
 
 from __future__ import annotations
 
 import ast
 import xml.etree.ElementTree as ET
-from typing import Dict
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.actions import Action, ActionScope, ErrorPolicy
 from repro.core.dag import ConfigDAG
@@ -45,49 +60,40 @@ from repro.core.spec import (
 )
 
 __all__ = [
-    "dag_to_element",
     "dag_from_element",
     "dag_to_xml",
     "dag_from_xml",
+    "parse_xml",
     "request_to_xml",
+    "request_from_element",
     "request_from_xml",
 ]
 
+#: ElementTree's attribute-value escaper; using it keeps the string
+#: encoders byte-identical to ``ET.tostring``.
+escape_attrib: Callable[[str], str] = ET._escape_attrib
+
+#: Envelope services whose body is a full Create-VM request.
+BODY_SERVICES = ("create", "estimate")
+
+#: Bound on the interned request DAGs; the table is cleared when full.
+#: A stream of distinct DAGs (In-VIGO workspaces, one per user) then
+#: holds at most this many decoded DAGs past their requests, which
+#: keeps the table out of the memory and garbage-collector budget.
+_INTERN_LIMIT = 32
+
+_interned: Dict[Tuple, ConfigDAG] = {}
+
+_T = TypeVar("_T")
+
 
 # ---------------------------------------------------------------------------
-# DAG <-> element
+# ConfigDAG <-> XML
 # ---------------------------------------------------------------------------
-
-
-def dag_to_element(dag: ConfigDAG) -> ET.Element:
-    """Encode a DAG as an ``<dag>`` element."""
-    root = ET.Element("dag")
-    for name, action in dag.actions.items():
-        el = ET.SubElement(
-            root,
-            "action",
-            {
-                "name": name,
-                "scope": action.scope.value,
-                "command": action.command,
-                "on-error": action.on_error.value,
-                "retries": str(action.retries),
-            },
-        )
-        for key, value in action.params:
-            ET.SubElement(el, "param", {"key": key, "value": value})
-        for out in action.outputs:
-            ET.SubElement(el, "output", {"name": out})
-    for u, v in dag.edges():
-        ET.SubElement(root, "edge", {"from": u, "to": v})
-    for name, handler in dag.handlers.items():
-        hel = ET.SubElement(root, "handler", {"for": name})
-        hel.append(dag_to_element(handler))
-    return root
 
 
 def dag_from_element(root: ET.Element) -> ConfigDAG:
-    """Decode an ``<dag>`` element (strict)."""
+    """Decode an ``<dag>`` element (strict) into a fresh, mutable DAG."""
     if root.tag != "dag":
         raise ProtocolError(f"expected <dag>, got <{root.tag}>")
     dag = ConfigDAG()
@@ -123,7 +129,7 @@ def _action_from_element(el: ET.Element) -> Action:
     scope = el.get("scope", ActionScope.GUEST.value)
     command = el.get("command", "")
     on_error = el.get("on-error", ErrorPolicy.FAIL.value)
-    retries = int(el.get("retries", "0"))
+    retries = _number(el, "retries", int, "0")
     params: Dict[str, object] = {}
     outputs = []
     for child in el:
@@ -154,10 +160,6 @@ def _action_from_element(el: ET.Element) -> Action:
         raise ProtocolError(str(exc)) from exc
 
 
-#: Public alias: the warehouse reuses the strict action parser.
-action_from_element = _action_from_element
-
-
 def _require(el: ET.Element, attr: str) -> str:
     value = el.get(attr)
     if value is None:
@@ -165,18 +167,92 @@ def _require(el: ET.Element, attr: str) -> str:
     return value
 
 
+def _number(
+    el: ET.Element,
+    attr: str,
+    convert: Callable[[str], _T],
+    default: Optional[str] = None,
+) -> Optional[_T]:
+    """Numeric attribute ``attr`` of ``el``, or ``default`` converted.
+
+    Returns None when the attribute is absent and ``default`` is None.
+    """
+    text = el.get(attr, default)
+    if text is None:
+        return None
+    try:
+        return convert(text)
+    except ValueError:
+        raise ProtocolError(
+            f"<{el.tag}> attribute {attr!r}: bad number {text!r}"
+        ) from None
+
+
+def _no_children(el: ET.Element) -> None:
+    for child in el:
+        raise ProtocolError(
+            f"unexpected element <{child.tag}> in <{el.tag}>"
+        )
+
+
+#: Public aliases: the warehouse reuses the strict action parser, the
+#: service envelope decoder the attribute and child checks.
+action_from_element = _action_from_element
+require_attribute = _require
+reject_children = _no_children
+
+
+def _write_dag(dag: ConfigDAG, out: List[str]) -> None:
+    """Append ``dag`` as a ``<dag>`` element's text to ``out``."""
+    esc = escape_attrib
+    actions = dag.actions
+    if not actions:
+        out.append("<dag />")
+        return
+    out.append("<dag>")
+    for name, action in actions.items():
+        out.append(
+            f'<action name="{esc(name)}" scope="{esc(action.scope.value)}"'
+            f' command="{esc(action.command)}"'
+            f' on-error="{esc(action.on_error.value)}"'
+            f' retries="{esc(str(action.retries))}"'
+        )
+        if not (action.params or action.outputs):
+            out.append(" />")
+            continue
+        out.append(">")
+        for key, value in action.params:
+            out.append(f'<param key="{esc(key)}" value="{esc(value)}" />')
+        for output in action.outputs:
+            out.append(f'<output name="{esc(output)}" />')
+        out.append("</action>")
+    for u, v in dag.edges():
+        out.append(f'<edge from="{esc(u)}" to="{esc(v)}" />')
+    for name, handler in dag.handlers.items():
+        out.append(f'<handler for="{esc(name)}">')
+        _write_dag(handler, out)
+        out.append("</handler>")
+    out.append("</dag>")
+
+
 def dag_to_xml(dag: ConfigDAG) -> str:
     """DAG as an XML string."""
-    return ET.tostring(dag_to_element(dag), encoding="unicode")
+    out: List[str] = []
+    _write_dag(dag, out)
+    return "".join(out)
+
+
+def parse_xml(text: str) -> ET.Element:
+    """Parse ``text`` into its root element (malformed → ProtocolError)."""
+    try:
+        return ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise ProtocolError(f"malformed XML: {exc}") from exc
 
 
 def dag_from_xml(text: str) -> ConfigDAG:
-    """Parse a DAG from an XML string."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ProtocolError(f"malformed XML: {exc}") from exc
-    return dag_from_element(root)
+    """Parse a DAG from an XML string (a fresh, mutable DAG)."""
+    return dag_from_element(parse_xml(text))
 
 
 # ---------------------------------------------------------------------------
@@ -184,57 +260,81 @@ def dag_from_xml(text: str) -> ConfigDAG:
 # ---------------------------------------------------------------------------
 
 
-def request_to_xml(request: CreateRequest) -> str:
-    """Encode a Create-VM request as an XML string."""
-    root = ET.Element(
-        "vmplant-request",
-        {"service": "create", "client": request.client_id},
-    )
+def request_to_xml(request: CreateRequest, service: str = "create") -> str:
+    """Encode a Create-VM request as an XML string.
+
+    ``service`` names the envelope's service: ``"estimate"`` wraps the
+    same body in a bid request.
+    """
+    esc = escape_attrib
+    out = [
+        f'<vmplant-request service="{esc(service)}"'
+        f' client="{esc(request.client_id)}"'
+    ]
     if request.vm_type is not None:
-        root.set("vm-type", request.vm_type)
+        out.append(f' vm-type="{esc(request.vm_type)}"')
     if request.requirements is not None:
-        root.set("requirements", request.requirements)
+        out.append(f' requirements="{esc(request.requirements)}"')
     if request.lease_s is not None:
-        root.set("lease-s", repr(request.lease_s))
+        out.append(f' lease-s="{esc(repr(request.lease_s))}"')
     hw = request.hardware
-    ET.SubElement(
-        root,
-        "hardware",
-        {
-            "isa": hw.isa,
-            "memory-mb": str(hw.memory_mb),
-            "disk-gb": repr(hw.disk_gb),
-            "cpus": str(hw.cpus),
-        },
+    out.append(
+        f'><hardware isa="{esc(hw.isa)}"'
+        f' memory-mb="{esc(str(hw.memory_mb))}"'
+        f' disk-gb="{esc(repr(hw.disk_gb))}" cpus="{esc(str(hw.cpus))}" />'
     )
     net = request.network
-    net_attrs = {"domain": net.domain}
+    out.append(f'<network domain="{esc(net.domain)}"')
     if net.proxy_host is not None:
-        net_attrs["proxy-host"] = net.proxy_host
+        out.append(f' proxy-host="{esc(net.proxy_host)}"')
     if net.proxy_port is not None:
-        net_attrs["proxy-port"] = str(net.proxy_port)
+        out.append(f' proxy-port="{esc(str(net.proxy_port))}"')
     if net.credentials:
-        net_attrs["credentials"] = net.credentials
-    ET.SubElement(root, "network", net_attrs)
-    sw = ET.SubElement(root, "software", {"os": request.software.os})
-    sw.append(dag_to_element(request.software.dag))
-    return ET.tostring(root, encoding="unicode")
+        out.append(f' credentials="{esc(net.credentials)}"')
+    out.append(f' /><software os="{esc(request.software.os)}">')
+    _write_dag(request.software.dag, out)
+    out.append("</software></vmplant-request>")
+    return "".join(out)
 
 
 def request_from_xml(text: str) -> CreateRequest:
     """Parse a Create-VM request from an XML string (strict)."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ProtocolError(f"malformed XML: {exc}") from exc
+    return request_from_element(parse_xml(text), "create")
+
+
+def request_from_element(
+    root: ET.Element, service: str = "create"
+) -> CreateRequest:
+    """Decode a parsed ``<vmplant-request service=...>`` body (strict).
+
+    ``service`` is the envelope service the caller expects
+    (``"create"`` or ``"estimate"``).  The request's DAG is the shared,
+    sealed object interned for its ``<dag>`` structure.
+    """
     if root.tag != "vmplant-request":
         raise ProtocolError(f"expected <vmplant-request>, got <{root.tag}>")
-    if root.get("service") != "create":
-        raise ProtocolError("only service=\"create\" requests carry a body")
+    if service not in BODY_SERVICES:
+        raise ProtocolError(f"service {service!r} carries no request body")
+    if root.get("service") != service:
+        raise ProtocolError(
+            f"expected service=\"{service}\","
+            f" got {root.get('service')!r}"
+        )
 
-    hw_el = root.find("hardware")
+    parts: Dict[str, ET.Element] = {}
+    for child in root:
+        if child.tag not in ("hardware", "network", "software"):
+            raise ProtocolError(
+                f"unexpected element <{child.tag}> in <vmplant-request>"
+            )
+        if child.tag in parts:
+            raise ProtocolError(f"duplicate <{child.tag}>")
+        parts[child.tag] = child
+
+    hw_el = parts.get("hardware")
     if hw_el is None:
         raise ProtocolError("missing <hardware>")
+    _no_children(hw_el)
     try:
         hardware = HardwareSpec(
             isa=hw_el.get("isa", "x86"),
@@ -245,27 +345,27 @@ def request_from_xml(text: str) -> CreateRequest:
     except ValueError as exc:
         raise ProtocolError(f"bad hardware spec: {exc}") from exc
 
-    net_el = root.find("network")
+    net_el = parts.get("network")
     if net_el is not None:
-        port = net_el.get("proxy-port")
+        _no_children(net_el)
         network = NetworkSpec(
             domain=net_el.get("domain", "local"),
             proxy_host=net_el.get("proxy-host"),
-            proxy_port=int(port) if port is not None else None,
+            proxy_port=_number(net_el, "proxy-port", int),
             credentials=net_el.get("credentials", ""),
         )
     else:
         network = NetworkSpec()
 
-    sw_el = root.find("software")
+    sw_el = parts.get("software")
     if sw_el is None:
         raise ProtocolError("missing <software>")
-    dag_el = sw_el.find("dag")
-    if dag_el is None:
-        raise ProtocolError("missing <dag> inside <software>")
+    inner = list(sw_el)
+    if len(inner) != 1 or inner[0].tag != "dag":
+        raise ProtocolError("<software> must contain exactly one <dag>")
     software = SoftwareSpec(
         os=sw_el.get("os", "linux-mandrake-8.1"),
-        dag=dag_from_element(dag_el),
+        dag=_interned_dag(inner[0]),
     )
 
     return CreateRequest(
@@ -275,9 +375,34 @@ def request_from_xml(text: str) -> CreateRequest:
         client_id=root.get("client", "anonymous"),
         vm_type=root.get("vm-type"),
         requirements=root.get("requirements"),
-        lease_s=(
-            float(root.get("lease-s"))
-            if root.get("lease-s") is not None
-            else None
-        ),
+        lease_s=_number(root, "lease-s", float),
     )
+
+
+def _element_key(el: ET.Element) -> Tuple:
+    """Hashable structure of ``el``'s subtree: per node in document
+    order its tag, child count, attribute count and attributes.
+
+    The counts make the flat tuple an unambiguous encoding of the
+    tree; one flat tuple of strings keeps the intern table from adding
+    a nested tuple per element to the garbage collector's heap.
+    """
+    key: List[object] = []
+    for node in el.iter():
+        items = node.items()
+        key += (node.tag, len(node), len(items))
+        for item in items:
+            key += item
+    return tuple(key)
+
+
+def _interned_dag(el: ET.Element) -> ConfigDAG:
+    """The shared sealed DAG for ``<dag>`` element ``el``."""
+    key = _element_key(el)
+    dag = _interned.get(key)
+    if dag is None:
+        dag = dag_from_element(el).seal()
+        if len(_interned) >= _INTERN_LIMIT:
+            _interned.clear()
+        _interned[key] = dag
+    return dag

@@ -13,10 +13,17 @@ The prototype exchanges XML service specifications over sockets
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from typing import Any, Callable, Generator, Optional, Tuple, Union
 
-from repro.core.dagxml import request_from_xml, request_to_xml
+from repro.core.dagxml import (
+    BODY_SERVICES,
+    escape_attrib,
+    parse_xml,
+    reject_children,
+    request_from_element,
+    request_to_xml,
+    require_attribute,
+)
 from repro.core.errors import ProtocolError
 from repro.core.spec import CreateRequest, DestroyRequest, QueryRequest
 from repro.sim.kernel import Environment
@@ -38,86 +45,69 @@ def service_request_to_xml(
 
     ``service`` overrides the envelope's service name — used to wrap a
     :class:`CreateRequest` body in an *estimate* request for bidding.
-
-    Encodings are memoized on the (frozen) request object per service
-    name: bidding encodes one request once, not once per plant.
     """
-    memo = getattr(request, "_xml_memo", None)
-    if memo is not None:
-        cached = memo.get(service)
-        if cached is not None:
-            return cached
-    text = _encode_request(request, service)
-    if memo is None:
-        memo = {}
-        object.__setattr__(request, "_xml_memo", memo)
-    memo[service] = text
-    return text
-
-
-def _encode_request(
-    request: ServiceRequest, service: Optional[str] = None
-) -> str:
+    esc = escape_attrib
     if isinstance(request, CreateRequest):
-        text = request_to_xml(request)
-        if service is None or service == "create":
-            return text
-        root = ET.fromstring(text)
-        root.set("service", service)
-        return ET.tostring(root, encoding="unicode")
+        return request_to_xml(request, service or "create")
     if isinstance(request, QueryRequest):
-        root = ET.Element(
-            "vmplant-request", {"service": "query", "vmid": request.vmid}
+        head = f'<vmplant-request service="query" vmid="{esc(request.vmid)}"'
+        if not request.attributes:
+            return head + " />"
+        attributes = "".join(
+            f'<attribute name="{esc(attr)}" />'
+            for attr in request.attributes
         )
-        for attr in request.attributes:
-            ET.SubElement(root, "attribute", {"name": attr})
-        return ET.tostring(root, encoding="unicode")
+        return f"{head}>{attributes}</vmplant-request>"
     if isinstance(request, DestroyRequest):
-        attrs = {
-            "service": "destroy",
-            "vmid": request.vmid,
-            "commit": "true" if request.commit else "false",
-        }
+        commit = "true" if request.commit else "false"
+        text = (
+            f'<vmplant-request service="destroy" vmid="{esc(request.vmid)}"'
+            f' commit="{commit}"'
+        )
         if request.publish_as is not None:
-            attrs["publish-as"] = request.publish_as
-        root = ET.Element("vmplant-request", attrs)
-        return ET.tostring(root, encoding="unicode")
+            text += f' publish-as="{esc(request.publish_as)}"'
+        return text + " />"
     raise ProtocolError(
         f"unsupported request type {type(request).__name__}"
     )
 
 
 def service_request_from_xml(text: str) -> Tuple[str, ServiceRequest]:
-    """Decode an envelope; returns ``(service, request)``."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ProtocolError(f"malformed XML: {exc}") from exc
+    """Decode an envelope; returns ``(service, request)``.
+
+    The text is parsed once; create and estimate bodies are decoded
+    from that root by the strict request decoder.
+    """
+    root = parse_xml(text)
     if root.tag != "vmplant-request":
         raise ProtocolError(f"expected <vmplant-request>, got <{root.tag}>")
     service = root.get("service")
-    if service in ("create", "estimate"):
-        # Re-parse through the strict create parser.
-        body = ET.tostring(root, encoding="unicode")
-        if service == "estimate":
-            root.set("service", "create")
-            body = ET.tostring(root, encoding="unicode")
-        return service, request_from_xml(body)
+    if service in BODY_SERVICES:
+        return service, request_from_element(root, service)
     if service == "query":
         vmid = root.get("vmid")
         if vmid is None:
             raise ProtocolError("query request missing vmid")
-        attributes = tuple(
-            el.get("name", "") for el in root if el.tag == "attribute"
-        )
+        for el in root:
+            if el.tag != "attribute":
+                raise ProtocolError(
+                    f"unexpected element <{el.tag}> in query request"
+                )
+        attributes = tuple(require_attribute(el, "name") for el in root)
         return service, QueryRequest(vmid=vmid, attributes=attributes)
     if service == "destroy":
         vmid = root.get("vmid")
         if vmid is None:
             raise ProtocolError("destroy request missing vmid")
+        reject_children(root)
+        commit = root.get("commit", "false")
+        if commit not in ("true", "false"):
+            raise ProtocolError(
+                f"destroy commit must be \"true\" or \"false\", got {commit!r}"
+            )
         return service, DestroyRequest(
             vmid=vmid,
-            commit=root.get("commit") == "true",
+            commit=commit == "true",
             publish_as=root.get("publish-as"),
         )
     raise ProtocolError(f"unknown service {service!r}")

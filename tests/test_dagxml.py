@@ -17,6 +17,7 @@ from repro.core.spec import (
     NetworkSpec,
     SoftwareSpec,
 )
+from repro.shop.protocol import service_request_from_xml
 
 
 def rich_dag():
@@ -172,3 +173,197 @@ class TestRequestRoundtrip:
         )
         with pytest.raises(ProtocolError):
             request_from_xml(text)
+
+
+def _create_text(hardware='memory-mb="32" disk-gb="4.0"', network="",
+                 extra="", root_attrs=""):
+    return (
+        f'<vmplant-request service="create"{root_attrs}>'
+        f"<hardware {hardware}/>{network}"
+        f"<software><dag/></software>{extra}"
+        "</vmplant-request>"
+    )
+
+
+class TestDecoderStrictness:
+    """Every malformed field surfaces as ProtocolError, never ValueError."""
+
+    def test_bad_proxy_port_rejected(self):
+        text = _create_text(network='<network proxy-port="abc"/>')
+        with pytest.raises(ProtocolError, match="proxy-port"):
+            request_from_xml(text)
+
+    def test_bad_retries_rejected(self):
+        text = _create_text().replace(
+            "<dag/>", '<dag><action name="a" retries="x"/></dag>'
+        )
+        with pytest.raises(ProtocolError, match="retries"):
+            request_from_xml(text)
+
+    def test_bad_lease_rejected(self):
+        text = _create_text(root_attrs=' lease-s="soon"')
+        with pytest.raises(ProtocolError, match="lease-s"):
+            request_from_xml(text)
+
+    def test_bad_cpus_rejected(self):
+        text = _create_text(
+            hardware='memory-mb="32" disk-gb="4.0" cpus="many"'
+        )
+        with pytest.raises(ProtocolError):
+            request_from_xml(text)
+
+    def test_unknown_create_child_rejected(self):
+        text = _create_text(extra="<payload/>")
+        with pytest.raises(ProtocolError, match="payload"):
+            request_from_xml(text)
+
+    def test_duplicate_create_child_rejected(self):
+        text = _create_text(
+            network='<network domain="a"/><network domain="b"/>'
+        )
+        with pytest.raises(ProtocolError, match="duplicate"):
+            request_from_xml(text)
+
+    def test_extra_software_child_rejected(self):
+        text = _create_text().replace("<dag/>", "<dag/><dag/>")
+        with pytest.raises(ProtocolError):
+            request_from_xml(text)
+
+    def test_unknown_query_child_rejected(self):
+        with pytest.raises(ProtocolError, match="payload"):
+            service_request_from_xml(
+                '<vmplant-request service="query" vmid="v">'
+                '<attribute name="ip"/><payload/></vmplant-request>'
+            )
+
+    def test_unknown_destroy_child_rejected(self):
+        with pytest.raises(ProtocolError, match="payload"):
+            service_request_from_xml(
+                '<vmplant-request service="destroy" vmid="v">'
+                "<payload/></vmplant-request>"
+            )
+
+    def test_nameless_query_attribute_rejected(self):
+        with pytest.raises(ProtocolError, match="attribute"):
+            service_request_from_xml(
+                '<vmplant-request service="query" vmid="v">'
+                "<attribute/></vmplant-request>"
+            )
+
+    def test_bad_commit_flag_rejected(self):
+        with pytest.raises(ProtocolError, match="commit"):
+            service_request_from_xml(
+                '<vmplant-request service="destroy" vmid="v"'
+                ' commit="yes"/>'
+            )
+
+    def test_missing_commit_flag_means_false(self):
+        service, request = service_request_from_xml(
+            '<vmplant-request service="destroy" vmid="v"/>'
+        )
+        assert service == "destroy" and request.commit is False
+
+
+class TestFastPath:
+    """One parse per create; one decoded, sealed DAG per distinct DAG."""
+
+    def test_create_parses_wire_text_once(self, monkeypatch):
+        import xml.etree.ElementTree as ET
+
+        from repro.sim.cluster import build_testbed
+        from repro.workloads.requests import experiment_request
+
+        bed = build_testbed(seed=61, n_plants=2)
+        assert bed.shop.use_xml
+        feeds = []
+
+        class CountingParser(ET.XMLParser):
+            def feed(self, data):
+                if data.startswith("<vmplant-request"):
+                    feeds.append(data)
+                return super().feed(data)
+
+        monkeypatch.setattr(ET, "XMLParser", CountingParser)
+        ad = bed.run(bed.shop.create(experiment_request(32)))
+        assert ad["status"] == "running"
+        assert len(feeds) == 1
+
+    def test_one_dag_decoded_once_for_100_creates(self, monkeypatch):
+        from repro.core import dagxml
+        from repro.shop import vmshop
+        from repro.sim.cluster import build_testbed
+        from repro.workloads.requests import experiment_request
+
+        monkeypatch.setattr(dagxml, "_interned", {})
+        builds = []
+        build = dagxml.dag_from_element
+
+        def counting_build(root):
+            builds.append(root)
+            return build(root)
+
+        decoded = []
+        decode = vmshop.service_request_from_xml
+
+        def recording_decode(text):
+            service, request = decode(text)
+            decoded.append(request)
+            return service, request
+
+        monkeypatch.setattr(dagxml, "dag_from_element", counting_build)
+        monkeypatch.setattr(
+            vmshop, "service_request_from_xml", recording_decode
+        )
+        bed = build_testbed(seed=62)
+        for _ in range(100):
+            ad = bed.run(bed.shop.create(experiment_request(32)))
+            bed.run(bed.shop.destroy(ad["vmid"]))
+        assert len(builds) == 1
+        assert len(decoded) == 100
+        shared = decoded[0].dag
+        assert shared.sealed
+        assert all(request.dag is shared for request in decoded)
+
+    def test_interned_dag_is_read_only(self):
+        from repro.core.errors import DAGError
+
+        request = CreateRequest(
+            hardware=HardwareSpec(memory_mb=32),
+            software=SoftwareSpec(dag=rich_dag()),
+        )
+        dag = request_from_xml(request_to_xml(request)).dag
+        assert dag.sealed
+        with pytest.raises(DAGError, match="sealed"):
+            dag.add_action(Action("late"))
+        with pytest.raises(DAGError, match="sealed"):
+            dag.add_edge("configure", "install")
+        with pytest.raises(DAGError, match="sealed"):
+            dag.attach_handler("install", ConfigDAG())
+        handler = dag.handler_for("configure")
+        with pytest.raises(DAGError, match="sealed"):
+            handler.add_action(Action("late"))
+        # The caller's DAG is untouched and still mutable.
+        assert not request.dag.sealed
+        request.dag.add_action(Action("late"))
+
+    def test_dag_from_xml_returns_fresh_mutable_dag(self):
+        text = dag_to_xml(rich_dag())
+        first, second = dag_from_xml(text), dag_from_xml(text)
+        assert first is not second
+        assert not first.sealed
+        first.add_action(Action("late"))
+        first.add_edge("configure", "late")
+        assert "late" in first and "late" not in second
+
+    def test_intern_table_is_bounded(self, monkeypatch):
+        from repro.core import dagxml
+
+        monkeypatch.setattr(dagxml, "_interned", {})
+        for i in range(dagxml._INTERN_LIMIT * 2 + 1):
+            dag = ConfigDAG().add_action(Action(f"step-{i}"))
+            request = CreateRequest(
+                hardware=HardwareSpec(memory_mb=32),
+                software=SoftwareSpec(dag=dag),
+            )
+            request_from_xml(request_to_xml(request))
+            assert len(dagxml._interned) <= dagxml._INTERN_LIMIT

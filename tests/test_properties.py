@@ -1,14 +1,25 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import string
+import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actions import Action
+from repro.core.actions import Action, ActionScope, ErrorPolicy
 from repro.core.classad import ClassAd
-from repro.core.dag import ConfigDAG
-from repro.core.dagxml import dag_from_xml, dag_to_xml
+from repro.core.dag import FINISH, START, ConfigDAG
+from repro.core.dagxml import dag_from_xml, dag_to_xml, request_to_xml
+from repro.core.spec import (
+    CreateRequest,
+    HardwareSpec,
+    NetworkSpec,
+    SoftwareSpec,
+)
+from repro.shop.protocol import (
+    service_request_from_xml,
+    service_request_to_xml,
+)
 from repro.core.matching import (
     partial_order_test,
     prefix_test,
@@ -50,6 +61,104 @@ def dags(draw, max_nodes=8):
     return dag
 
 
+#: Wire text: XML specials, whitespace escapes and non-ASCII, minus
+#: what XML 1.0 cannot carry (other control characters, surrogates,
+#: unassigned code points such as U+FFFE).
+wire_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("&<>\"'\n\t\r"),
+        st.characters(exclude_categories=("Cc", "Cs", "Cn")),
+    ),
+    max_size=12,
+)
+
+#: Parameter values that survive the ``repr`` / ``literal_eval`` trip.
+param_values = st.one_of(
+    wire_text,
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def wire_dags(draw, depth=1):
+    """Random DAGs with wire-hostile names, params, outputs and
+    nested handler DAGs (``depth`` levels)."""
+    node_names = draw(
+        st.lists(
+            wire_text.filter(lambda n: n and n not in (START, FINISH)),
+            min_size=0,
+            max_size=5,
+            unique=True,
+        )
+    )
+    dag = ConfigDAG()
+    for name in node_names:
+        dag.add_action(
+            Action(
+                name,
+                scope=draw(st.sampled_from(ActionScope)),
+                command=draw(wire_text),
+                params=draw(
+                    st.dictionaries(wire_text, param_values, max_size=3)
+                ),
+                outputs=tuple(draw(st.lists(wire_text, max_size=2))),
+                on_error=draw(st.sampled_from(ErrorPolicy)),
+                retries=draw(st.integers(min_value=0, max_value=5)),
+            )
+        )
+    for j in range(1, len(node_names)):
+        for i in draw(
+            st.lists(
+                st.integers(min_value=0, max_value=j - 1),
+                unique=True,
+                max_size=2,
+            )
+        ):
+            dag.add_edge(node_names[i], node_names[j])
+    if depth > 0:
+        for name in node_names:
+            if draw(st.booleans()):
+                dag.attach_handler(name, draw(wire_dags(depth=depth - 1)))
+    return dag
+
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+@st.composite
+def create_requests(draw):
+    """Random Create-VM requests, every optional field set or unset."""
+    return CreateRequest(
+        hardware=HardwareSpec(
+            isa=draw(wire_text),
+            memory_mb=draw(st.integers(min_value=1, max_value=1 << 20)),
+            disk_gb=draw(
+                st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
+            ),
+            cpus=draw(st.integers(min_value=1, max_value=64)),
+        ),
+        software=SoftwareSpec(os=draw(wire_text), dag=draw(wire_dags())),
+        network=NetworkSpec(
+            domain=draw(wire_text),
+            proxy_host=draw(_optional(wire_text)),
+            proxy_port=draw(
+                _optional(st.integers(min_value=0, max_value=65535))
+            ),
+            credentials=draw(wire_text),
+        ),
+        client_id=draw(wire_text),
+        vm_type=draw(_optional(wire_text)),
+        requirements=draw(_optional(wire_text)),
+        lease_s=draw(
+            _optional(st.floats(allow_nan=False, allow_infinity=False))
+        ),
+    )
+
+
 @st.composite
 def dag_with_prefix(draw):
     """A DAG plus one of its valid prefix subsets."""
@@ -69,6 +178,116 @@ def dag_with_prefix(draw):
 # ---------------------------------------------------------------------------
 # DAG invariants
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# XML codec: round trip, and byte-identity with ElementTree
+# ---------------------------------------------------------------------------
+
+
+def _reference_dag_element(dag):
+    root = ET.Element("dag")
+    for name, action in dag.actions.items():
+        el = ET.SubElement(
+            root,
+            "action",
+            {
+                "name": name,
+                "scope": action.scope.value,
+                "command": action.command,
+                "on-error": action.on_error.value,
+                "retries": str(action.retries),
+            },
+        )
+        for key, value in action.params:
+            ET.SubElement(el, "param", {"key": key, "value": value})
+        for out in action.outputs:
+            ET.SubElement(el, "output", {"name": out})
+    for u, v in dag.edges():
+        ET.SubElement(root, "edge", {"from": u, "to": v})
+    for name, handler in dag.handlers.items():
+        ET.SubElement(root, "handler", {"for": name}).append(
+            _reference_dag_element(handler)
+        )
+    return root
+
+
+def _reference_request_xml(request, service="create"):
+    root = ET.Element(
+        "vmplant-request", {"service": service, "client": request.client_id}
+    )
+    if request.vm_type is not None:
+        root.set("vm-type", request.vm_type)
+    if request.requirements is not None:
+        root.set("requirements", request.requirements)
+    if request.lease_s is not None:
+        root.set("lease-s", repr(request.lease_s))
+    hw = request.hardware
+    ET.SubElement(
+        root,
+        "hardware",
+        {
+            "isa": hw.isa,
+            "memory-mb": str(hw.memory_mb),
+            "disk-gb": repr(hw.disk_gb),
+            "cpus": str(hw.cpus),
+        },
+    )
+    net = request.network
+    net_attrs = {"domain": net.domain}
+    if net.proxy_host is not None:
+        net_attrs["proxy-host"] = net.proxy_host
+    if net.proxy_port is not None:
+        net_attrs["proxy-port"] = str(net.proxy_port)
+    if net.credentials:
+        net_attrs["credentials"] = net.credentials
+    ET.SubElement(root, "network", net_attrs)
+    ET.SubElement(root, "software", {"os": request.software.os}).append(
+        _reference_dag_element(request.software.dag)
+    )
+    return ET.tostring(root, encoding="unicode")
+
+
+def _same_dag(a, b):
+    """Full equality: ``==`` compares signatures only, not outputs,
+    error policies or retry budgets."""
+    return (
+        a.actions == b.actions
+        and a.edges() == b.edges()
+        and a.handlers.keys() == b.handlers.keys()
+        and all(_same_dag(h, b.handlers[n]) for n, h in a.handlers.items())
+    )
+
+
+class TestCodecProperties:
+    @given(create_requests(), st.sampled_from(["create", "estimate"]))
+    @settings(max_examples=150, deadline=None)
+    def test_request_roundtrip(self, request, service):
+        text = service_request_to_xml(request, service=service)
+        decoded_service, back = service_request_from_xml(text)
+        assert decoded_service == service
+        assert back == request
+        assert _same_dag(back.dag, request.dag)
+        # The decoded DAG re-encodes to the same wire text.
+        assert service_request_to_xml(back, service=service) == text
+
+    @given(create_requests(), st.sampled_from(["create", "estimate"]))
+    @settings(max_examples=150, deadline=None)
+    def test_request_encoder_matches_elementtree(self, request, service):
+        reference = _reference_request_xml(request, service)
+        assert request_to_xml(request, service) == reference
+        assert service_request_to_xml(request, service) == reference
+
+    @given(wire_dags(depth=2))
+    @settings(max_examples=150, deadline=None)
+    def test_dag_encoder_matches_elementtree(self, dag):
+        text = dag_to_xml(dag)
+        assert text == ET.tostring(
+            _reference_dag_element(dag), encoding="unicode"
+        )
+        back = dag_from_xml(text)
+        assert back == dag and _same_dag(back, dag)
+        assert not back.sealed
 
 
 class TestDagProperties:

@@ -109,13 +109,23 @@ class TestRequestMemos:
         assert other.to_classad() is not first
         assert other.to_classad()["client"] == "else"
 
-    def test_xml_encoding_memoized_per_service(self):
+    def test_xml_encoding_stable_per_service(self):
+        # Encodings are not memoized on the request (that would pin a
+        # wire string on every client-held request); re-encoding must
+        # give equal text, and the estimate envelope differs from the
+        # create one only in its service name.
         request = make_request()
         create_xml = service_request_to_xml(request, service="create")
         estimate_xml = service_request_to_xml(request, service="estimate")
-        assert service_request_to_xml(request, "create") is create_xml
-        assert service_request_to_xml(request, "estimate") is estimate_xml
-        assert 'service="estimate"' in estimate_xml
+        assert service_request_to_xml(request, "create") == create_xml
+        assert service_request_to_xml(request, "estimate") == estimate_xml
+        assert not hasattr(request, "_xml_memo")
+        assert estimate_xml.startswith(
+            '<vmplant-request service="estimate" '
+        )
+        assert estimate_xml == create_xml.replace(
+            'service="create"', 'service="estimate"', 1
+        )
 
 
 def _random_description(rng, name):

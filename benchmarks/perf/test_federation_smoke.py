@@ -118,3 +118,34 @@ def test_federation_regression_vs_trajectory(smoke_sweep):
             f"single-site control plane {bps:.0f} bids/s is <half "
             f"the recorded best ({best:.0f} bids/s)"
         )
+
+
+def test_latest_recorded_sweep_passes_the_bench_gate():
+    """The newest recorded sweep (in CI, the one ``federation_bench
+    --small`` has just appended) must hold the bench gate: determinism
+    recheck passed, >=1.5x 4-site bids/sec speedup, at least one
+    completed spill at 4 sites, and no failed request or timed-out
+    spill at any point."""
+    records = trajectory.load(FEDERATION_BENCH_PATH)
+    if not records:
+        pytest.skip("no recorded federation-bench trajectory")
+    latest = records[-1]
+    assert latest["deterministic"] is True, "determinism recheck failed"
+    speedup = latest["bids_speedups"]["4x0"]
+    assert speedup >= 1.5, (
+        f"4-site bids/sec speedup {speedup}x below 1.5x floor"
+    )
+    crossing = [
+        p
+        for p in latest["points"]
+        if p["sites"] == 4 and p["cross_fraction"] > 0
+    ]
+    assert any(p["spilled_ok"] > 0 for p in crossing), (
+        "no cross-site spill-over completed at 4 sites"
+    )
+    bad = [
+        (p["sites"], p["cross_fraction"])
+        for p in latest["points"]
+        if p["failed"] or p["spill_timeout"]
+    ]
+    assert not bad, f"requests failed or spills timed out at {bad}"

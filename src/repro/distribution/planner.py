@@ -133,7 +133,7 @@ class DistributionPlanner:
         if host.state_cache is None:
             raise ValueError(
                 f"host {host.name} has no state cache; the distribution "
-                f"layer serves peers from it (set peer_store_mb)"
+                f"layer serves peers from it"
             )
         store = PeerImageStore(
             host, host.state_cache, len(self.stores), site

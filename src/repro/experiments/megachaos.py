@@ -10,7 +10,7 @@ replayed against each rung of the **grid resilience ladder**:
 * ``none``      — no faults (the baseline the trace can reach);
 * ``faults``    — the plan fires, nothing compensates: arrivals at a
   dark site fail fast, spills into it vanish;
-* ``failover``  — plus the gateway failover ladder: dark-site
+* ``failover``  — plus failover on the spill ring: dark-site
   arrivals reroute over the spill ring, failed/timed-out spills
   retry with backoff, and the home site is a last-resort fallback;
 * ``admission`` — plus overload admission control: priority-tiered

@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-__all__ = ["RecoveryPolicy", "DEADLINE_BACKOFF", "CIRCUIT_BREAKER"]
+__all__ = [
+    "BACKOFF_FACTOR",
+    "RecoveryPolicy",
+    "DEADLINE_BACKOFF",
+    "CIRCUIT_BREAKER",
+]
+
+#: Multiplier applied to the re-bid delay on each further attempt.
+BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -25,10 +33,9 @@ class RecoveryPolicy:
     #: Total creation attempts per request; each attempt re-bids with
     #: a *fresh* vmid (1 = seed behaviour, no re-bid).
     max_attempts: int = 1
-    #: First re-bid delay in seconds (0 = retry immediately).
+    #: First re-bid delay in seconds (0 = retry immediately); each
+    #: further attempt waits ``BACKOFF_FACTOR`` times longer.
     backoff_base_s: float = 0.0
-    #: Multiplier applied to the delay on each further attempt.
-    backoff_factor: float = 2.0
     #: Give up on bidders that have not answered an estimate after
     #: this many seconds; their late bids are dropped (None = wait
     #: for every bidder, the seed behaviour).
@@ -38,26 +45,6 @@ class RecoveryPolicy:
     quarantine_threshold: int = 0
     #: Seconds a quarantined plant sits out before a half-open probe.
     quarantine_s: float = 300.0
-    #: Federation: a site spills a request to a remote site when its
-    #: best *local* bid exceeds this cost (None = spill only when the
-    #: local site declines outright).  Read by the federation gateway,
-    #: never by the shop itself.
-    spill_threshold: Optional[float] = None
-    #: Federation: give up on a cross-site spill-over bid after this
-    #: many simulated seconds (None = wait for the remote answer).
-    spill_deadline_s: Optional[float] = None
-    #: Federation: spill rounds per request — after every ranked
-    #: remote has been tried and failed, re-collect bids and walk the
-    #: ladder again (1 = single round, the seed behaviour).
-    spill_attempts: int = 1
-    #: Federation: first delay before a spill retry round; doubles
-    #: per ``backoff_factor`` on each further round (0 = immediate).
-    spill_backoff_s: float = 0.0
-    #: Federation: quarantine a remote gateway after this many
-    #: *consecutive* spill-create failures (0 = breaker disabled).
-    remote_quarantine_threshold: int = 0
-    #: Seconds a quarantined remote sits out before a half-open probe.
-    remote_quarantine_s: float = 300.0
 
     def __post_init__(self) -> None:
         if self.create_deadline_s is not None and self.create_deadline_s <= 0:
@@ -66,49 +53,18 @@ class RecoveryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if self.bid_deadline_s is not None and self.bid_deadline_s <= 0:
             raise ValueError("bid_deadline_s must be positive")
         if self.quarantine_threshold < 0:
             raise ValueError("quarantine_threshold must be non-negative")
         if self.quarantine_s <= 0:
             raise ValueError("quarantine_s must be positive")
-        if self.spill_threshold is not None and self.spill_threshold < 0:
-            raise ValueError("spill_threshold must be non-negative")
-        if self.spill_deadline_s is not None and self.spill_deadline_s <= 0:
-            raise ValueError("spill_deadline_s must be positive")
-        if self.spill_attempts < 1:
-            raise ValueError("spill_attempts must be >= 1")
-        if self.spill_backoff_s < 0:
-            raise ValueError("spill_backoff_s must be non-negative")
-        if self.remote_quarantine_threshold < 0:
-            raise ValueError("remote_quarantine_threshold must be non-negative")
-        if self.remote_quarantine_s <= 0:
-            raise ValueError("remote_quarantine_s must be positive")
-
-    @property
-    def enabled(self) -> bool:
-        """True when any knob deviates from the all-off defaults."""
-        return (
-            self.create_deadline_s is not None
-            or self.max_attempts > 1
-            or self.backoff_base_s > 0
-            or self.bid_deadline_s is not None
-            or self.quarantine_threshold > 0
-        )
 
     def backoff_delay(self, attempt: int) -> float:
         """Seconds to wait before ``attempt`` (1-based; 0 for the first)."""
         if attempt <= 1 or self.backoff_base_s <= 0:
             return 0.0
-        return self.backoff_base_s * self.backoff_factor ** (attempt - 2)
-
-    def spill_backoff_delay(self, round_no: int) -> float:
-        """Seconds before spill round ``round_no`` (1-based; 0 first)."""
-        if round_no <= 1 or self.spill_backoff_s <= 0:
-            return 0.0
-        return self.spill_backoff_s * self.backoff_factor ** (round_no - 2)
+        return self.backoff_base_s * BACKOFF_FACTOR ** (attempt - 2)
 
 
 #: Deadline + bounded exponential-backoff re-bid (no quarantine).
@@ -116,7 +72,6 @@ DEADLINE_BACKOFF = RecoveryPolicy(
     create_deadline_s=240.0,
     max_attempts=4,
     backoff_base_s=10.0,
-    backoff_factor=2.0,
     bid_deadline_s=10.0,
 )
 

@@ -1,41 +1,30 @@
-"""Site-local-first placement with cross-site spill-over bids.
+"""A site's federation gateway: the spill decision and fault state.
 
 The federation's placement rule (§3.1's broker tree, stretched over
 sites): a request entering a site is first bid out *inside* that site
-only.  Cross-site traffic happens in exactly two cases —
+only.  It leaves the site in exactly two cases —
 
 * the local site **declines** outright (no rack broker bids: every
   plant is full or down), or
 * the local site is **saturated**: its best local bid exceeds the
-  ``spill_threshold`` of the site's
-  :class:`~repro.faults.recovery.RecoveryPolicy` (creation-cost bids
-  grow with queue depth, so a high bid *is* the saturation signal).
+  gateway's ``spill_threshold`` (creation-cost bids grow with queue
+  depth, so a high bid *is* the saturation signal).
 
-Only then does the gateway collect bids from remote site gateways,
-bounded by ``spill_deadline_s`` so one slow WAN peer cannot stall the
-round, and walks the ranked remote bids as a **failover ladder**: a
-remote whose create fails (it filled up between bid and create, or
-its site went dark) costs one rung, not the whole round.  Exhausting
-the ladder starts a fresh spill round after
-``RecoveryPolicy.spill_backoff_s`` (up to ``spill_attempts`` rounds),
-and repeatedly-failing remotes are quarantined by per-remote
-:class:`~repro.faults.health.PlantHealth` circuit breakers
-(``remote_quarantine_threshold``).  Keeping discovery site-local
-first is what makes the control plane shard: the common-case request
-never leaves its site's kernel shard, and only spill-overs cross
-:class:`~repro.sim.network.BoundaryLink`\\ s.
+The spill itself rides the shard ring of
+:mod:`repro.federation.scenario`; the gateway holds what that path and
+the :class:`~repro.faults.injector.FaultInjector` share: the spill
+decision, the gateway's name, and the two fault windows.  Keeping
+discovery site-local first is what makes the control plane shard: the
+common-case request never leaves its site's kernel shard, and only
+spill-overs cross :class:`~repro.sim.network.BoundaryLink`\\ s.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
-from repro.core.errors import ShopError
-from repro.core.spec import CreateRequest
-from repro.faults.health import PlantHealth
-from repro.faults.recovery import RecoveryPolicy
 from repro.shop.bidding import Bid
-from repro.shop.vmshop import VMShop
+from repro.sim.kernel import Environment
 
 __all__ = ["FederationGateway"]
 
@@ -43,211 +32,46 @@ __all__ = ["FederationGateway"]
 class FederationGateway:
     """One site's entry point into the federated grid."""
 
-    def __init__(
-        self,
-        site: int,
-        shop: VMShop,
-        policy: Optional[RecoveryPolicy] = None,
-    ):
+    def __init__(self, site: int, spill_threshold: Optional[float] = None):
+        if spill_threshold is not None and spill_threshold < 0:
+            raise ValueError("spill_threshold must be non-negative")
         self.site = site
-        self.shop = shop
-        self.policy = policy or shop.recovery
-        #: Remote peers, in site order: anything exposing ``name``,
-        #: ``estimate(request)`` and ``create(request, vmid, ...)`` —
-        #: in grid mode the other sites' gateways themselves.
-        self.remotes: List[Any] = []
-        #: The gateway bids into the federation under this name.
+        #: Spill when the best local bid exceeds this cost (None =
+        #: spill only when the local site declines outright).
+        self.spill_threshold = spill_threshold
+        #: The name fault plans target (``gateway-hang``).
         self.name = f"site{site}-gateway"
         #: Absolute simulated times this gateway is unavailable:
-        #: ``down_until`` (site blackout — estimates decline, creates
-        #: fail fast) and ``hang_until`` (gateway hang — inbound
-        #: creates stall).  Both heal by clock comparison; the fault
-        #: injector only ever raises them.
+        #: ``down_until`` (site blackout — inbound spills are dropped)
+        #: and ``hang_until`` (gateway hang — inbound spills stall).
+        #: Both heal by clock comparison; the fault injector only ever
+        #: raises them.
         self.down_until = 0.0
         self.hang_until = 0.0
-        #: Per-remote circuit breakers (active when the policy's
-        #: ``remote_quarantine_threshold`` > 0).
-        self.remote_health: Dict[str, PlantHealth] = {}
-        # Spill accounting for the experiments/bench.
-        self.local_creates = 0
-        self.spill_creates = 0
-        self.spills_declined = 0
-        self.spills_saturated = 0
-        self.spill_failures = 0
-        self.spill_retries = 0
 
-    def add_remote(self, gateway: Any) -> None:
-        if gateway is self:
-            raise ShopError("a site cannot be its own spill-over remote")
-        self.remotes.append(gateway)
-
-    # -- federation-facing bidder protocol ----------------------------------
-    def estimate(self, request: CreateRequest) -> Generator:
-        """This site's best local bid (None = site declines)."""
-        if self.down_until > self.shop.env.now:
-            return None  # site dark: decline without touching plants
-        bids = yield from self.shop.estimate(request)
-        if not bids:
-            return None
-        return min(bid.cost for bid in bids)
-
-    def create(
-        self,
-        request: CreateRequest,
-        vmid: Optional[str] = None,
-        clone_mode: Optional[Any] = None,
-    ) -> Generator:
-        """Create strictly inside this site (a remote's spill target).
-
-        ``vmid`` is accepted for bidder-protocol compatibility but the
-        VM is always named by the owning site's shop — VMIDs stay
-        site-unique and routable.  A dark site fails fast; a hung
-        gateway stalls the caller until the hang window passes.
-        """
-        if self.down_until > self.shop.env.now:
-            raise ShopError(
-                f"{self.name}: site dark until t={self.down_until:.1f}"
-            )
-        if self.hang_until > self.shop.env.now:
-            yield self.shop.env.timeout(
-                self.hang_until - self.shop.env.now
-            )
-            if self.down_until > self.shop.env.now:
-                raise ShopError(
-                    f"{self.name}: site went dark during gateway hang"
-                )
-        ad = yield from self.shop.create(request, clone_mode)
-        return ad
-
-    # -- spill decision ------------------------------------------------------
     def should_spill(self, local_bids: Sequence[Bid]) -> bool:
         """Spill when the site declines or its best bid is saturated."""
         if not local_bids:
             return True
-        if self.policy.spill_threshold is None:
+        if self.spill_threshold is None:
             return False
-        return min(bid.cost for bid in local_bids) > self.policy.spill_threshold
+        return min(bid.cost for bid in local_bids) > self.spill_threshold
 
-    # -- remote circuit breakers --------------------------------------------
-    def _breaker(self, remote: Any) -> Optional[PlantHealth]:
-        if self.policy.remote_quarantine_threshold <= 0:
-            return None
-        name = getattr(remote, "name", str(remote))
-        health = self.remote_health.get(name)
-        if health is None:
-            health = PlantHealth(
-                name,
-                self.policy.remote_quarantine_threshold,
-                self.policy.remote_quarantine_s,
-            )
-            self.remote_health[name] = health
-        return health
+    def place(self, env: Environment) -> Generator:
+        """Admit one inbound spilled request; True when this site may
+        create it.
 
-    def _open_remotes(self) -> List[Any]:
-        """Remotes admitted by their breakers (all, when disabled)."""
-        now = self.shop.env.now
-        admitted = []
-        for remote in self.remotes:
-            health = self._breaker(remote)
-            if health is None or health.allows(now):
-                admitted.append(remote)
-        return admitted
-
-    def _record_remote(self, remote: Any, ok: bool) -> None:
-        health = self._breaker(remote)
-        if health is not None:
-            now = self.shop.env.now
-            if ok:
-                health.record_success(now)
-            else:
-                health.record_failure(now)
-
-    # -- placement ----------------------------------------------------------
-    def _spill(
-        self,
-        request: CreateRequest,
-        clone_mode: Optional[Any],
-    ) -> Generator:
-        """Walk the spill failover ladder; returns ``(ad, site)`` or
-        ``None`` when every remote rung failed.
-
-        Each round collects fresh bids from breaker-admitted remotes
-        and tries them best-first; a failed create costs one rung and
-        feeds that remote's breaker.  Further rounds wait
-        ``spill_backoff_delay`` first.  Every create attempt beyond
-        the first is counted in ``spill_retries``.
+        A dark site refuses it (the spill is dropped and the source's
+        bounded ack wait times out, exactly as for a dead WAN peer).
+        A hung gateway stalls it until the hang ends, then refuses it
+        if the site went dark in the meantime.
         """
-        rounds = max(1, self.policy.spill_attempts)
-        tried = 0
-        for round_no in range(1, rounds + 1):
-            if round_no > 1:
-                delay = self.policy.spill_backoff_delay(round_no)
-                if delay > 0:
-                    yield self.shop.env.timeout(delay)
-            remote_bids = yield from self.shop.collector.collect(
-                self._open_remotes(),
-                request,
-                deadline_s=self.policy.spill_deadline_s,
-            )
-            if not remote_bids:
-                continue
-            for bid in self.shop.collector.rank(remote_bids):
-                if tried:
-                    self.spill_retries += 1
-                tried += 1
-                try:
-                    ad = yield from self.shop.transport.call(
-                        lambda b=bid: b.bidder.create(
-                            request, None, clone_mode
-                        )
-                    )
-                except ShopError:
-                    # The remote filled up (or went dark) between bid
-                    # and create; fail over to the next rung.
-                    self.spill_failures += 1
-                    self._record_remote(bid.bidder, ok=False)
-                else:
-                    self.spill_creates += 1
-                    self._record_remote(bid.bidder, ok=True)
-                    return ad, getattr(bid.bidder, "site", -1)
-        return None
-
-    def place(
-        self,
-        request: CreateRequest,
-        clone_mode: Optional[Any] = None,
-    ) -> Generator:
-        """Place a request: local site first, spill-over second.
-
-        Returns ``(classad, site)`` — the classad of the created VM
-        and the site that hosts it.  Raises :class:`ShopError` when
-        the local site declines/saturates and no remote bids either.
-        """
-        local_bids = yield from self.shop.estimate(request)
-        if not self.should_spill(local_bids):
-            ad = yield from self.shop.create(request, clone_mode)
-            self.local_creates += 1
-            return ad, self.site
-        if local_bids:
-            self.spills_saturated += 1
-        else:
-            self.spills_declined += 1
-
-        placed = yield from self._spill(request, clone_mode)
-        if placed is not None:
-            return placed
-        if local_bids:
-            # Saturated is still better than failed.
-            ad = yield from self.shop.create(request, clone_mode)
-            self.local_creates += 1
-            return ad, self.site
-        raise ShopError(
-            f"site {self.site}: no local or remote plant bid for the request"
-        )
+        if self.hang_until > env.now and self.down_until <= env.now:
+            yield env.timeout(self.hang_until - env.now)
+        return self.down_until <= env.now
 
     def __repr__(self) -> str:
         return (
             f"<FederationGateway site={self.site} "
-            f"local={self.local_creates} spilled={self.spill_creates} "
-            f"remotes={len(self.remotes)}>"
+            f"spill_threshold={self.spill_threshold}>"
         )

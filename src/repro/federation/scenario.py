@@ -16,7 +16,7 @@ two cases —
 A spilled request rides the ``spill`` boundary link to the ring
 neighbour, which provisions the VM in *its* shop and answers over the
 reverse ``ack`` link; the source waits on the ack bounded by the
-policy's ``spill_deadline_s``.  Both links carry ≤4-float payloads
+``spill_deadline_s`` param.  Both links carry ≤4-float payloads
 and their latencies are the conservative-sync lookahead, so the
 cross-site path is exactly as parallel as the PR 6 kernel allows.
 
@@ -39,11 +39,10 @@ site one last time after the ring gives up.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoveryPolicy
 from repro.federation.addressing import HierarchicalAddressPlan
 from repro.federation.site import FederatedSite, build_federated_site
 from repro.sim.kernel import Environment
@@ -173,6 +172,18 @@ class FederationScenario(ShardScenario):
             "reroute_on_blackout": False,
         }
 
+    def resolve(self, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        merged = super().resolve(params)
+        # The spill ring reads these straight from the params: reject
+        # values it cannot run before any site is built.
+        if merged["spill_deadline_s"] <= 0:
+            raise ValueError("spill_deadline_s must be positive")
+        if merged["spill_attempts"] < 1:
+            raise ValueError("spill_attempts must be >= 1")
+        if merged["spill_backoff_s"] < 0:
+            raise ValueError("spill_backoff_s must be non-negative")
+        return merged
+
     def link_specs(
         self, sites: int, params: Dict[str, Any]
     ) -> List[LinkSpec]:
@@ -212,12 +223,6 @@ class FederationScenario(ShardScenario):
     ) -> _FederationHandle:
         from repro.workloads.requests import poisson_arrivals
 
-        policy = RecoveryPolicy(
-            spill_threshold=params["spill_threshold"],
-            spill_deadline_s=params["spill_deadline_s"],
-            spill_attempts=params["spill_attempts"],
-            spill_backoff_s=params["spill_backoff_s"],
-        )
         fsite = build_federated_site(
             site,
             sites,
@@ -226,7 +231,7 @@ class FederationScenario(ShardScenario):
             rack_size=params["rack_size"],
             networks_per_plant=params["networks_per_plant"],
             plan=HierarchicalAddressPlan(sites),
-            recovery=policy,
+            spill_threshold=params["spill_threshold"],
             env=env,
         )
         times = poisson_arrivals(
@@ -412,12 +417,14 @@ class FederationScenario(ShardScenario):
         outcome = yield from self._spill_with_retries(
             handle, i, params["memory_mb"]
         )
-        if outcome == "ok":
-            handle.latencies.append(env.now - start)
-        elif params["local_fallback"]:
+        if outcome != "ok" and params["local_fallback"]:
             ok = yield from self._local_fallback(handle, request)
             if ok:
-                handle.latencies.append(env.now - start)
+                outcome = "ok"
+        if outcome == "ok":
+            handle.latencies.append(env.now - start)
+        else:
+            handle.failed += 1
 
     def _spill_with_retries(
         self, handle: _FederationHandle, idx: int, memory_mb: int
@@ -507,17 +514,12 @@ class FederationScenario(ShardScenario):
 
         env = handle.env
         params = handle.params
-        gateway = handle.fsite.gateway
-        if gateway.down_until > env.now:
+        admitted = yield from handle.fsite.gateway.place(env)
+        if not admitted:
             # Site dark: the spill vanishes (no ack), the source's
             # bounded wait times out — exactly a dead WAN peer.
             handle.spills_dropped += 1
             return
-        if gateway.hang_until > env.now:
-            yield env.timeout(gateway.hang_until - env.now)
-            if gateway.down_until > env.now:
-                handle.spills_dropped += 1
-                return
         src, seq = int(payload[0]), int(payload[1])
         request = experiment_request(
             int(payload[2]),

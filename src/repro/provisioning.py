@@ -31,14 +31,21 @@ seed golden trajectories bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ProvisioningConfig", "FULL_PROVISIONING"]
 
 
 @dataclass(frozen=True)
 class ProvisioningConfig:
-    """Switches and tunables of the provisioning-throughput layer."""
+    """Switches of the provisioning-throughput layer.
+
+    The mechanisms' own tunables (pool sizing, peer bandwidth,
+    placement period, ...) keep the defaults of the classes that
+    implement them: :class:`~repro.plant.speculative.AdaptiveSpeculativePool`,
+    :class:`~repro.distribution.DistributionPlanner` and
+    :class:`~repro.distribution.ReplicaPlacer`.
+    """
 
     #: Host golden-state cache budget (MB); 0 disables the cache.
     host_cache_mb: float = 0.0
@@ -46,85 +53,23 @@ class ProvisioningConfig:
     coalesce_transfers: bool = False
     #: Attach an adaptive speculative pool manager to every plant?
     speculative_pools: bool = False
-
-    # -- adaptive pool tunables -------------------------------------------
-    #: Hit-rate the pool sizes itself toward.
-    pool_target_hit_rate: float = 0.9
-    pool_min_target: int = 0
-    pool_max_target: int = 4
-    #: Arrivals remembered per (image, domain) for rate estimation.
-    pool_window: int = 8
-    #: Assumed lead time (s) to fill one clone; scales pool depth.
-    pool_lead_time_s: float = 45.0
-    #: Bid multiplier quoted when a pooled VM can serve the request.
-    pool_bid_discount: float = 0.25
-
-    # -- peer distribution trees -------------------------------------------
     #: Deliver LINK clone state over peer broadcast trees?
     distribution_tree: bool = False
     #: Concurrent peer serves per source host (1 = chained, 2 = binary).
     tree_fanout: int = 2
-    #: Floor for the host cache budget when the tree layer is on (the
-    #: peer store serves from the host cache, so it must exist).
-    peer_store_mb: float = 1024.0
-    #: Per-host serving uplink bandwidth (MB/s) — the paper's gigabit
-    #: inter-node switch, minus protocol overhead.
-    peer_bandwidth_mbps: float = 110.0
     #: Run the popularity-driven replica placement daemon?
     replica_placement: bool = False
-    #: Placement sweep period (s).
-    placement_period_s: float = 120.0
-    #: Hottest images pre-pushed per sweep.
-    placement_top_k: int = 2
-    #: Seed hosts (tree roots) per site, spread over the host list.
-    placement_seed_hosts: int = 2
 
     def __post_init__(self) -> None:
         if self.host_cache_mb < 0:
             raise ValueError("host_cache_mb must be non-negative")
-        if not 0.0 < self.pool_target_hit_rate <= 1.0:
-            raise ValueError("pool_target_hit_rate must be in (0, 1]")
-        if self.pool_min_target < 0 or self.pool_max_target < 0:
-            raise ValueError("pool targets must be non-negative")
-        if self.pool_min_target > self.pool_max_target:
-            raise ValueError("pool_min_target exceeds pool_max_target")
-        if self.pool_window < 2:
-            raise ValueError("pool_window must be at least 2")
-        if self.pool_lead_time_s <= 0:
-            raise ValueError("pool_lead_time_s must be positive")
-        if not 0.0 < self.pool_bid_discount <= 1.0:
-            raise ValueError("pool_bid_discount must be in (0, 1]")
         if self.tree_fanout < 1:
             raise ValueError("tree_fanout must be at least 1")
-        if self.peer_store_mb <= 0:
-            raise ValueError("peer_store_mb must be positive")
-        if self.peer_bandwidth_mbps <= 0:
-            raise ValueError("peer_bandwidth_mbps must be positive")
-        if self.placement_period_s <= 0:
-            raise ValueError("placement_period_s must be positive")
-        if self.placement_top_k < 1:
-            raise ValueError("placement_top_k must be at least 1")
-        if self.placement_seed_hosts < 1:
-            raise ValueError("placement_seed_hosts must be at least 1")
         if self.replica_placement and not self.distribution_tree:
             raise ValueError(
                 "replica_placement requires distribution_tree (the "
                 "placer pushes state through the tree planner)"
             )
-
-    @property
-    def enabled(self) -> bool:
-        """True when any provisioning feature is switched on."""
-        return (
-            self.host_cache_mb > 0
-            or self.coalesce_transfers
-            or self.speculative_pools
-            or self.distribution_tree
-        )
-
-    def without_pools(self) -> "ProvisioningConfig":
-        """The same configuration with speculative pools disabled."""
-        return replace(self, speculative_pools=False)
 
 
 #: Everything on, with a cache budget that comfortably holds the

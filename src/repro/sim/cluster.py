@@ -37,6 +37,10 @@ from repro.workloads.requests import golden_image
 
 __all__ = ["Testbed", "build_testbed", "run_process"]
 
+#: Host cache budget (MB) the peer distribution tree forces onto every
+#: host: the peer store serves golden state from the host cache.
+PEER_STORE_MB = 1024.0
+
 
 def run_process(env: Environment, generator) -> object:
     """Drive one process generator to completion; return its value."""
@@ -210,7 +214,6 @@ def build_testbed(
             nfs,
             latency=latency,
             fanout=prov.tree_fanout,
-            peer_bandwidth_mbps=prov.peer_bandwidth_mbps,
         )
 
     warehouse = VMWarehouse()
@@ -237,11 +240,11 @@ def build_testbed(
     plants: List[VMPlant] = []
     lines_by_type: Dict[str, List[object]] = {vt: [] for vt in vm_types}
     pools: List[object] = []
-    # The peer store serves from the host cache, so the tree layer
-    # forces one into existence even when host_cache_mb is 0.
+    # The tree layer forces a host cache into existence even when
+    # host_cache_mb is 0.
     cache_mb = prov.host_cache_mb
     if prov.distribution_tree:
-        cache_mb = max(cache_mb, prov.peer_store_mb)
+        cache_mb = max(cache_mb, PEER_STORE_MB)
     for i in range(n_plants):
         host = PhysicalHost(
             env,
@@ -306,15 +309,7 @@ def build_testbed(
         if prov.speculative_pools:
             from repro.plant.speculative import AdaptiveSpeculativePool
 
-            manager = AdaptiveSpeculativePool(
-                plant,
-                target_hit_rate=prov.pool_target_hit_rate,
-                min_target=prov.pool_min_target,
-                max_target=prov.pool_max_target,
-                window=prov.pool_window,
-                lead_time_s=prov.pool_lead_time_s,
-                bid_discount=prov.pool_bid_discount,
-            )
+            manager = AdaptiveSpeculativePool(plant)
             plant.attach_speculative(manager)
             pools.append(manager)
 
@@ -333,14 +328,7 @@ def build_testbed(
     if prov.replica_placement and distribution is not None:
         from repro.distribution import ReplicaPlacer
 
-        placer = ReplicaPlacer(
-            env,
-            distribution,
-            warehouse,
-            period_s=prov.placement_period_s,
-            top_k=prov.placement_top_k,
-            seed_hosts=prov.placement_seed_hosts,
-        )
+        placer = ReplicaPlacer(env, distribution, warehouse)
 
     return Testbed(
         env=env,

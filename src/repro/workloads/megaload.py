@@ -227,18 +227,11 @@ class MegaLoadScenario(FederationScenario):
         seed: int,
         params: Dict[str, Any],
     ) -> _MegaLoadHandle:
-        from repro.faults.recovery import RecoveryPolicy
         from repro.federation.addressing import HierarchicalAddressPlan
         from repro.federation.admission import AdmissionController
         from repro.federation.site import build_federated_site
         from repro.workloads.traces import read_jsonl
 
-        policy = RecoveryPolicy(
-            spill_threshold=params["spill_threshold"],
-            spill_deadline_s=params["spill_deadline_s"],
-            spill_attempts=params["spill_attempts"],
-            spill_backoff_s=params["spill_backoff_s"],
-        )
         testbed_kw = {}
         if params["speculative_pools"]:
             from repro.provisioning import ProvisioningConfig
@@ -254,7 +247,7 @@ class MegaLoadScenario(FederationScenario):
             rack_size=params["rack_size"],
             networks_per_plant=params["networks_per_plant"],
             plan=HierarchicalAddressPlan(sites),
-            recovery=policy,
+            spill_threshold=params["spill_threshold"],
             env=env,
             **testbed_kw,
         )

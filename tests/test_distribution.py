@@ -28,11 +28,15 @@ class TestDistributionConfig:
         config = ProvisioningConfig()
         assert not config.distribution_tree
         assert not config.replica_placement
-        assert not config.enabled
 
     def test_tree_alone_enables_layer(self):
-        config = ProvisioningConfig(distribution_tree=True)
-        assert config.enabled
+        bed = build_testbed(
+            seed=9,
+            n_plants=2,
+            provisioning=ProvisioningConfig(distribution_tree=True),
+        )
+        assert bed.distribution is not None
+        assert bed.placer is None
 
     def test_full_provisioning_gains_tree(self):
         assert FULL_PROVISIONING.distribution_tree
@@ -42,17 +46,33 @@ class TestDistributionConfig:
         "kwargs",
         [
             {"tree_fanout": 0},
-            {"peer_store_mb": 0.0},
-            {"peer_bandwidth_mbps": 0.0},
-            {"placement_period_s": 0.0},
-            {"placement_top_k": 0},
-            {"placement_seed_hosts": 0},
+            {"fanout": 0},  # planner
+            {"peer_bandwidth_mbps": 0.0},  # planner
+            {"period_s": 0.0},  # placer
+            {"top_k": 0},  # placer
+            {"seed_hosts": 0},  # placer
             {"replica_placement": True},  # requires distribution_tree
         ],
     )
     def test_validation(self, kwargs):
+        """Each bad knob is refused by the layer that owns it: the two
+        switches and the fanout by the config, the rest by the planner
+        or placer constructor."""
         with pytest.raises(ValueError):
-            ProvisioningConfig(**kwargs)
+            if kwargs.keys() <= {"fanout", "peer_bandwidth_mbps"}:
+                env = Environment()
+                DistributionPlanner(env, NFSServer(env), **kwargs)
+            elif kwargs.keys() <= {"period_s", "top_k", "seed_hosts"}:
+                bed = build_testbed(
+                    seed=9,
+                    n_plants=2,
+                    provisioning=ProvisioningConfig(distribution_tree=True),
+                )
+                ReplicaPlacer(
+                    bed.env, bed.distribution, bed.warehouse, **kwargs
+                )
+            else:
+                ProvisioningConfig(**kwargs)
 
 
 class TestCachePinning:
@@ -432,20 +452,22 @@ class TestLoadAwareReplicaPick:
 
 
 class TestReplicaPlacer:
-    def _bed(self, n_plants=4, **overrides):
-        params = dict(
-            distribution_tree=True,
-            replica_placement=True,
-            placement_top_k=1,
-            placement_seed_hosts=2,
-            placement_period_s=50.0,
-        )
-        params.update(overrides)
-        return build_testbed(
+    def _bed(self, n_plants=4):
+        """A tree testbed whose placer pushes one image per 50 s sweep."""
+        bed = build_testbed(
             seed=9,
             n_plants=n_plants,
-            provisioning=ProvisioningConfig(**params),
+            provisioning=ProvisioningConfig(distribution_tree=True),
         )
+        bed.placer = ReplicaPlacer(
+            bed.env,
+            bed.distribution,
+            bed.warehouse,
+            period_s=50.0,
+            top_k=1,
+            seed_hosts=2,
+        )
+        return bed
 
     def test_popularity_counts_memo_hits(self):
         bed = self._bed()
@@ -517,10 +539,11 @@ class TestReplicaPlacer:
 
     def test_placer_validation(self):
         bed = self._bed()
-        with pytest.raises(ValueError):
-            ReplicaPlacer(
-                bed.env, bed.distribution, bed.warehouse, period_s=0.0
-            )
+        for kwargs in ({"period_s": 0.0}, {"top_k": 0}, {"seed_hosts": 0}):
+            with pytest.raises(ValueError):
+                ReplicaPlacer(
+                    bed.env, bed.distribution, bed.warehouse, **kwargs
+                )
 
 
 class TestTreeTestbedIntegration:

@@ -151,21 +151,22 @@ class TestPlantHealth:
 class TestRecoveryPolicy:
     def test_defaults_disabled(self):
         policy = RecoveryPolicy()
-        assert not policy.enabled
+        assert policy.create_deadline_s is None
+        assert policy.max_attempts == 1
+        assert policy.bid_deadline_s is None
+        assert policy.quarantine_threshold == 0
         assert policy.backoff_delay(1) == 0.0
         assert policy.backoff_delay(5) == 0.0
 
     def test_backoff_sequence(self):
-        policy = RecoveryPolicy(
-            max_attempts=4, backoff_base_s=10.0, backoff_factor=2.0
-        )
-        assert policy.enabled
+        policy = RecoveryPolicy(max_attempts=4, backoff_base_s=10.0)
         assert [policy.backoff_delay(a) for a in (1, 2, 3, 4)] == [
             0.0, 10.0, 20.0, 40.0,
         ]
 
     def test_presets_enabled(self):
-        assert DEADLINE_BACKOFF.enabled
+        assert DEADLINE_BACKOFF != RecoveryPolicy()
+        assert DEADLINE_BACKOFF.max_attempts > 1
         assert CIRCUIT_BREAKER.quarantine_threshold > 0
 
     def test_validation(self):
@@ -174,7 +175,11 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError):
             RecoveryPolicy(create_deadline_s=0.0)
         with pytest.raises(ValueError):
-            RecoveryPolicy(backoff_factor=0.5)
+            RecoveryPolicy(backoff_base_s=-1.0)
+        with pytest.raises(ValueError):
+            RecoveryPolicy(bid_deadline_s=0.0)
+        with pytest.raises(ValueError):
+            RecoveryPolicy(quarantine_threshold=-1)
         with pytest.raises(ValueError):
             RecoveryPolicy(quarantine_s=0.0)
 

@@ -1,45 +1,37 @@
-"""Federated multi-site control plane: addressing, registry, spill-over.
+"""Federated multi-site control plane: addressing, sites, spill-over.
 
-Pins the three federation contracts from the PR 8 acceptance list:
+Pins the federation contracts:
 
 * **hierarchical vnet allocation** — site blocks are disjoint pure
   functions of ``(sites, base_octet, subnets_per_site)``, exhaust with
   :class:`VNetError`, reuse released subnets FIFO, and reject foreign
   or double releases;
-* **sharded registry equivalence** — a randomized
-  :class:`FederatedRegistry` discover (with and without the
-  ``may_match`` shard prefilter) returns exactly what one merged
-  :class:`ServiceRegistry` holding every site's entries would, in the
-  same order;
 * **determinism across shard counts** — the ``federation`` scenario's
   merged-trace fingerprint is identical at 1, 2 and 4 shards, and the
-  classic single-site testbed is untouched by the federation plumbing.
+  classic single-site testbed is untouched by the federation plumbing;
+* **request accounting** — every arrival ends created or failed, also
+  when the spill ring and the local fallback both give up.
 
-Plus the grid-mode wiring: rack brokers in front of the shop,
-site-prefixed names, and the gateway's local-first / spill-over
-placement ladder.
+Plus the site wiring: rack brokers in front of the shop, site-prefixed
+names, disjoint subnet blocks, and the gateway's spill decision.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.core.classad import ClassAd
-from repro.core.errors import ShopError, VNetError
-from repro.faults.recovery import RecoveryPolicy
+from repro.core.errors import VNetError
+from repro.faults.plan import SITE_BLACKOUT, FaultEvent, FaultPlan
 from repro.federation.addressing import (
     ADDRESSES_PER_SUBNET,
     HierarchicalAddressPlan,
     SubnetBlock,
 )
 from repro.federation.gateway import FederationGateway
-from repro.federation.registry import FederatedRegistry
-from repro.federation.site import build_federated_grid
+from repro.federation.site import build_federated_site
 from repro.shop.bidding import Bid
-from repro.shop.registry import ServiceRegistry
-from repro.sim.cluster import build_testbed
+from repro.sim.cluster import build_testbed, run_process
+from repro.sim.kernel import Environment
 from repro.sim.shard import ShardedTestbed
 from repro.workloads.requests import experiment_request
 
@@ -160,138 +152,7 @@ class TestHierarchicalAddressPlan:
 
 
 # ---------------------------------------------------------------------------
-# Federated registry vs one merged registry
-# ---------------------------------------------------------------------------
-
-_OSES = ("linux", "bsd", "Solaris")
-_VM_TYPES = ("vmware", "uml")
-_KINDS = ("vmplant", "vmbroker", "warehouse")
-
-_QUERIES = (
-    (None, None),
-    ("vmplant", None),
-    ("vmplant", 'other.os == "linux"'),
-    ("vmplant", 'other.os == "bsd" && other.vm_type == "uml"'),
-    (None, 'other.vm_type == "vmware" && other.slot > 2'),
-    ("vmbroker", "other.slot >= 0"),
-    ("vmplant", 'other.os == "plan9"'),  # matches nothing anywhere
-    ("warehouse", 'other.name == "svc-1-0"'),
-)
-
-
-def _random_description(rng: random.Random, name: str, kind: str) -> ClassAd:
-    ad = ClassAd({"name": name, "kind": kind})
-    if rng.random() < 0.85:
-        ad["os"] = rng.choice(_OSES)
-    if rng.random() < 0.8:
-        ad["vm_type"] = rng.choice(_VM_TYPES)
-    ad["slot"] = rng.randrange(0, 8)
-    if rng.random() < 0.1:
-        ad.set_expression("os", '"li" + "nux"')
-    return ad
-
-
-def _random_federation(rng: random.Random, sites: int):
-    """The same random entries published into a router and one merged
-    registry, in identical (site, local insertion) order."""
-    fed = FederatedRegistry()
-    merged = ServiceRegistry()
-    for site in range(sites):
-        fed.add_site(site)
-    for site in range(sites):
-        for i in range(rng.randrange(1, 9)):
-            name = f"svc-{site}-{i}"
-            kind = rng.choice(_KINDS)
-            description = _random_description(rng, name, kind)
-            fed.publish(site, name, kind, object(), description)
-            merged.publish(name, kind, object(), description)
-    return fed, merged
-
-
-class TestFederatedRegistryEquivalence:
-    def test_randomized_discover_matches_merged_registry(self):
-        rng = random.Random(2004)
-        for trial in range(25):
-            fed, merged = _random_federation(rng, rng.randrange(1, 6))
-            for kind, query in _QUERIES:
-                reference = [
-                    e.name
-                    for e in merged.discover(kind, query, prefilter=False)
-                ]
-                for prefilter in (True, False):
-                    got = [
-                        e.name
-                        for e in fed.discover(kind, query, prefilter=prefilter)
-                    ]
-                    assert got == reference, (
-                        f"trial={trial} kind={kind} query={query!r} "
-                        f"prefilter={prefilter}"
-                    )
-
-    def test_result_order_groups_by_ascending_site(self):
-        fed = FederatedRegistry()
-        for site in (2, 0, 1):  # attach out of order on purpose
-            fed.add_site(site)
-        for site in (1, 2, 0):  # publish out of order too
-            fed.publish(site, f"p{site}", "vmplant", object())
-        assert [e.name for e in fed.discover("vmplant")] == [
-            "p0", "p1", "p2"
-        ]
-
-    def test_prefilter_actually_prunes_shards(self):
-        fed = FederatedRegistry()
-        for site in range(4):
-            fed.add_site(site)
-            os = "bsd" if site == 3 else "linux"
-            fed.publish(
-                site, f"p{site}", "vmplant", object(),
-                ClassAd({"name": f"p{site}", "kind": "vmplant", "os": os}),
-            )
-        found = fed.discover("vmplant", 'other.os == "bsd"')
-        assert [e.name for e in found] == ["p3"]
-        # Three shards hold only linux plants: may_match proves no
-        # entry can satisfy the equality conjunct, so they are skipped.
-        assert fed.shards_pruned == 3
-        assert fed.shards_queried == 1
-
-    def test_cross_site_name_collision_rejected(self):
-        fed = FederatedRegistry()
-        fed.add_site(0)
-        fed.add_site(1)
-        fed.publish(0, "dup", "vmplant", object())
-        with pytest.raises(ShopError, match="already published by site 0"):
-            fed.publish(1, "dup", "vmplant", object())
-        # Same-site republish is a plain replace, as in one registry.
-        fed.publish(0, "dup", "vmshop", object())
-        assert fed.site_of("dup") == 0
-        assert len(fed) == 1
-
-    def test_router_resyncs_with_direct_shard_publishes(self):
-        """Grid-mode shops publish straight into their site shard; the
-        router must still route bind/unpublish for those names."""
-        fed = FederatedRegistry()
-        shard = fed.add_site(2)
-        binding = object()
-        shard.publish("stealth", "vmplant", binding)
-        assert "stealth" in fed
-        assert fed.site_of("stealth") == 2
-        assert fed.bind("stealth") is binding
-        fed.unpublish("stealth")
-        assert "stealth" not in shard
-        with pytest.raises(ShopError, match="not published"):
-            fed.bind("stealth")
-
-    def test_duplicate_site_rejected(self):
-        fed = FederatedRegistry()
-        fed.add_site(0)
-        with pytest.raises(ShopError, match="already federated"):
-            fed.add_site(0)
-        with pytest.raises(ShopError, match="not federated"):
-            fed.shard(9)
-
-
-# ---------------------------------------------------------------------------
-# Grid-mode wiring and the spill-over gateway
+# Site wiring and the spill decision
 # ---------------------------------------------------------------------------
 
 
@@ -301,149 +162,77 @@ def _bid(cost: float) -> Bid:
 
 class TestFederatedGrid:
     def test_sites_share_one_kernel_with_disjoint_state(self):
-        grid = build_federated_grid(2, seed=3, n_plants=2, rack_size=2)
-        assert grid.sites[0].bed.env is grid.sites[1].bed.env
-        # Site-prefixed service names route through the federated view.
-        assert grid.registry.site_of("site0-plant0") == 0
-        assert grid.registry.site_of("site1-vmshop") == 1
-        plants = grid.registry.discover("vmplant")
-        assert [e.name for e in plants] == [
-            "site0-plant0", "site0-plant1",
-            "site1-plant0", "site1-plant1",
+        env = Environment()
+        plan = HierarchicalAddressPlan(2)
+        sites = [
+            build_federated_site(
+                s, 2, seed=3, n_plants=2, rack_size=2, plan=plan, env=env
+            )
+            for s in range(2)
         ]
+        assert sites[0].bed.env is sites[1].bed.env is env
+        # Each site publishes site-prefixed names in its own registry.
+        for s, fsite in enumerate(sites):
+            assert f"site{s}-plant0" in fsite.bed.registry
+            assert f"site{s}-vmshop" in fsite.bed.registry
+            assert f"site{1 - s}-plant0" not in fsite.bed.registry
         # Each site's pools draw from its own subnet block.
-        pools0 = {
-            net.subnet
-            for p in grid.sites[0].bed.plants
-            for net in p.network_pool.networks
-        }
-        pools1 = {
-            net.subnet
-            for p in grid.sites[1].bed.plants
-            for net in p.network_pool.networks
-        }
+        pools0, pools1 = (
+            {
+                net.subnet
+                for p in fsite.bed.plants
+                for net in p.network_pool.networks
+            }
+            for fsite in sites
+        )
         assert pools0 and pools1 and not (pools0 & pools1)
 
     def test_rack_brokers_front_the_shop(self):
-        grid = build_federated_grid(1, seed=3, n_plants=4, rack_size=2)
-        site = grid.sites[0]
+        site = build_federated_site(0, 1, seed=3, n_plants=4, rack_size=2)
         assert [r.name for r in site.racks] == ["site0-rack0", "site0-rack1"]
         # The shop bids against the broker tier, not plants directly.
         assert site.shop.bidders == site.racks
-        ad = grid.run(site.shop.create(experiment_request(32)))
+        ad = run_process(
+            site.bed.env, site.shop.create(experiment_request(32))
+        )
         assert str(ad["vmid"]).startswith("site0-vmshop-vm-")
 
     def test_gateway_spills_when_local_site_declines(self):
-        grid = build_federated_grid(
-            2, seed=3, n_plants=1, rack_size=1, max_vms_per_plant=1
-        )
-        gw0 = grid.sites[0].gateway
-        # Fill site 0's single slot: the next request gets no local bid.
-        ad, site = grid.run(gw0.place(experiment_request(32)))
-        assert site == 0 and gw0.local_creates == 1
-        ad, site = grid.run(gw0.place(experiment_request(32)))
-        assert site == 1
-        assert gw0.spill_creates == 1 and gw0.spills_declined == 1
-        assert str(ad["vmid"]).startswith("site1-")
-        # Both sites full: the placement ladder runs out.
-        with pytest.raises(ShopError, match="no local or remote"):
-            grid.run(gw0.place(experiment_request(32)))
+        """No plant anywhere can host a 4 GB guest: every site
+        declines, so every request rides the ring, the neighbour
+        declines too, and each request is counted failed once."""
+        params = {
+            "plants": 1,
+            "rack_size": 1,
+            "memory_mb": 4096,
+            "requests": 3,
+            "cross_fraction": 0.0,
+        }
+        run = ShardedTestbed(
+            seed=3, sites=2, shards=1, scenario="federation"
+        ).run(params=params, deadline_s=None)
+        stats = run.combined_stats()
+        assert stats["spill_declined"] == stats["spills_sent"] == 6
+        assert stats["spill_failed"] == 6 and stats["spilled_ok"] == 0
+        assert stats["created"] == 0 and stats["failed"] == 6
 
     def test_should_spill_threshold(self):
-        grid = build_federated_grid(
-            2, seed=3, n_plants=1, rack_size=1,
-            recovery=RecoveryPolicy(spill_threshold=50.0),
-        )
-        gw = grid.sites[0].gateway
+        gw = FederationGateway(0, spill_threshold=50.0)
         assert gw.should_spill([])  # decline: no bids at all
         assert not gw.should_spill([_bid(10.0), _bid(60.0)])
         assert gw.should_spill([_bid(51.0)])  # saturated
         # No threshold configured: never spill while the site bids.
-        gw_free = FederationGateway(0, grid.sites[0].shop, RecoveryPolicy())
+        gw_free = FederationGateway(0)
         assert not gw_free.should_spill([_bid(1e9)])
         assert gw_free.should_spill([])
-
-    def test_gateway_rejects_self_as_remote(self):
-        grid = build_federated_grid(1, seed=3, n_plants=1, rack_size=1)
-        gw = grid.sites[0].gateway
-        assert gw.remotes == []
-        with pytest.raises(ShopError, match="own spill-over"):
-            gw.add_remote(gw)
-
-
-class TestGatewayFailoverLadder:
-    """Regression: a failed remote create must fail over to the next
-    ranked remote bid, not abandon the whole spill round."""
-
-    @staticmethod
-    def _break_first_create(grid, sites):
-        """Whichever remote is tried first raises once, then heals."""
-        state = {"broken": 0}
-
-        def wrap(gateway):
-            orig = gateway.create
-
-            def create(request, vmid=None, clone_mode=None, _orig=orig):
-                if state["broken"] == 0:
-                    state["broken"] += 1
-
-                    def boom():
-                        raise ShopError("injected remote crash")
-                        yield  # pragma: no cover
-
-                    return boom()
-                return _orig(request, vmid, clone_mode)
-
-            gateway.create = create
-
-        for s in sites:
-            wrap(grid.sites[s].gateway)
-        return state
-
-    def test_failed_remote_create_walks_to_next_rung(self):
-        grid = build_federated_grid(
-            3, seed=3, n_plants=1, rack_size=1, max_vms_per_plant=1
+        with pytest.raises(ValueError, match="non-negative"):
+            FederationGateway(0, spill_threshold=-1.0)
+        # The site builder hands its threshold to the gateway.
+        site = build_federated_site(
+            1, 2, seed=3, n_plants=1, rack_size=1, spill_threshold=50.0
         )
-        gw0 = grid.sites[0].gateway
-        # Fill site 0 so the next placement must spill.
-        grid.run(gw0.place(experiment_request(32)))
-        state = self._break_first_create(grid, (1, 2))
-        ad, site = grid.run(gw0.place(experiment_request(32)))
-        assert state["broken"] == 1
-        assert site in (1, 2)  # landed on the *other* remote
-        assert gw0.spill_creates == 1
-        assert gw0.spill_failures == 1
-        assert gw0.spill_retries == 1  # exactly one extra rung
-        assert str(ad["vmid"]).startswith(f"site{site}-")
-
-    def test_repeat_failures_trip_the_remote_breaker(self):
-        grid = build_federated_grid(
-            2, seed=3, n_plants=1, rack_size=1,
-            recovery=RecoveryPolicy(
-                remote_quarantine_threshold=2,
-                remote_quarantine_s=500.0,
-            ),
-        )
-        gw0 = grid.sites[0].gateway
-        remote = grid.sites[1].gateway
-        assert gw0._open_remotes() == [remote]
-        gw0._record_remote(remote, ok=False)
-        assert gw0._open_remotes() == [remote]  # below threshold
-        gw0._record_remote(remote, ok=False)
-        assert gw0._open_remotes() == []  # quarantined
-        # A success after the quarantine window closes the breaker.
-        health = gw0.remote_health[remote.name]
-        assert health.allows(600.0)  # HALF_OPEN probe after expiry
-        gw0._record_remote(remote, ok=True)
-        assert gw0._open_remotes() == [remote]
-
-    def test_breakers_disabled_by_default(self):
-        grid = build_federated_grid(2, seed=3, n_plants=1, rack_size=1)
-        gw0 = grid.sites[0].gateway
-        for _ in range(10):
-            gw0._record_remote(grid.sites[1].gateway, ok=False)
-        assert gw0.remote_health == {}
-        assert gw0._open_remotes() == [grid.sites[1].gateway]
+        assert site.gateway.spill_threshold == 50.0
+        assert site.gateway.name == "site1-gateway"
 
 
 # ---------------------------------------------------------------------------
@@ -479,3 +268,48 @@ class TestFederationDeterminism:
         assert bed.shop.bidders == bed.plants
         with pytest.raises(ValueError):
             build_testbed(seed=1, n_plants=2, rack_size=0)
+
+
+class TestFederationAccounting:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"spill_deadline_s": 0.0},
+            {"spill_attempts": 0},
+            {"spill_backoff_s": -1.0},
+        ],
+    )
+    def test_bad_spill_params_rejected(self, bad):
+        plan = ShardedTestbed(seed=1, sites=2, shards=1, scenario="federation")
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            plan.run(params=bad)
+
+
+    def test_failed_spills_are_counted_once_per_request(self):
+        """Site 1 is dark for the whole run and every request is
+        cross-site: site 1's own arrivals fail fast, and each of site
+        0's requests times out both spill rounds and must be counted
+        failed exactly once (not zero times, not once per round)."""
+        plan = FaultPlan(
+            [
+                FaultEvent(
+                    at=0.0, kind=SITE_BLACKOUT, target="site1",
+                    duration=1e6, site=1,
+                )
+            ]
+        )
+        params = {
+            "plants": 2,
+            "requests": 10,
+            "cross_fraction": 1.0,
+            "spill_attempts": 2,
+            "spill_deadline_s": 60.0,
+            "fault_plan": plan.to_records(),
+        }
+        run = ShardedTestbed(
+            seed=5, sites=2, shards=1, scenario="federation"
+        ).run(params=params, deadline_s=None)
+        stats = run.combined_stats()
+        assert stats["created"] == 0
+        assert stats["spill_timeout"] == 2 * 10
+        assert stats["failed"] == 20

@@ -28,7 +28,7 @@ import json
 
 import pytest
 
-from repro.core.errors import ReproError, ShopError
+from repro.core.errors import ReproError
 from repro.faults.audit import LEAK_DIMENSIONS, leak_report
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -41,10 +41,11 @@ from repro.faults.plan import (
     FaultPlan,
     grid_fault_plan,
 )
-from repro.faults.recovery import RecoveryPolicy
 from repro.federation.admission import AdmissionController
-from repro.federation.site import build_federated_grid
+from repro.federation.scenario import FederationScenario
+from repro.federation.site import build_federated_site
 from repro.sim.cluster import build_testbed
+from repro.sim.kernel import Environment
 from repro.sim.shard import ShardedTestbed
 from repro.workloads.megaload import merge_site_summaries
 
@@ -216,9 +217,8 @@ def _drive(env, gen):
 
 
 class TestSiteBlackout:
-    def _grid_with_blackout(self, at=10.0, duration=20.0):
-        grid = build_federated_grid(2, seed=4, n_plants=2, rack_size=2)
-        site = grid.sites[1]
+    def _site_with_blackout(self, at=10.0, duration=20.0):
+        site = build_federated_site(1, 2, seed=4, n_plants=2, rack_size=2)
         plan = FaultPlan(
             [
                 FaultEvent(
@@ -231,10 +231,10 @@ class TestSiteBlackout:
             site.bed, plan, gateway=site.gateway, site=1
         )
         injector.start()
-        return grid, site, injector
+        return site, injector
 
     def test_blackout_downs_everything_then_heals(self):
-        grid, site, injector = self._grid_with_blackout()
+        site, injector = self._site_with_blackout()
         env = site.bed.env
 
         def probe():
@@ -242,24 +242,29 @@ class TestSiteBlackout:
             assert all(p.down for p in site.bed.plants)
             assert site.bed.nfs.outage_mode is not None
             assert site.gateway.down_until == pytest.approx(30.0)
-            none_bid = yield from site.gateway.estimate(
-                _req()
-            )
-            assert none_bid is None
-            with pytest.raises(ShopError, match="dark"):
-                yield from site.gateway.create(_req())
+            bids = yield from site.shop.estimate(_req())
+            assert bids == []
+            # The gateway refuses inbound spills while the site is dark.
+            admitted = yield from site.gateway.place(env)
+            assert admitted is False
             yield env.timeout(20.0)  # past recovery
             assert not any(p.down for p in site.bed.plants)
             assert site.bed.nfs.outage_mode is None
-            ad = yield from site.gateway.create(_req())
+            admitted = yield from site.gateway.place(env)
+            assert admitted is True
+            ad = yield from site.shop.create(_req())
             assert str(ad["vmid"]).startswith("site1-")
 
         _drive(env, probe())
         assert injector.skipped == 0
 
     def test_gateway_hang_stalls_inbound_creates(self):
-        grid = build_federated_grid(2, seed=4, n_plants=2, rack_size=2)
-        site = grid.sites[0]
+        """A spill reaching a hung gateway over the ring waits for the
+        hang to end before the site starts the create."""
+        scenario = FederationScenario()
+        params = dict(scenario.defaults(), plants=2, rack_size=2)
+        env = Environment()
+        handle = scenario.build_site(env, 0, 2, 4, params)
         plan = FaultPlan(
             [
                 FaultEvent(
@@ -269,19 +274,26 @@ class TestSiteBlackout:
             ]
         )
         FaultInjector(
-            site.bed, plan, gateway=site.gateway, site=0
+            handle.fsite.bed, plan, gateway=handle.fsite.gateway, site=0
         ).start()
-        env = site.bed.env
+        starts = []
+        create = handle.shop.create
+
+        def timed_create(request, *args):
+            starts.append(env.now)
+            return create(request, *args)
+
+        handle.shop.create = timed_create
 
         def probe():
             yield env.timeout(10.0)  # mid-hang
-            t0 = env.now
-            ad = yield from site.gateway.create(_req())
-            # The create stalled until the hang window passed.
-            assert env.now >= 35.0 > t0
-            assert ad["vmid"]
+            yield from scenario._remote_create(handle, (1, 7, 32, 0.0))
 
         _drive(env, probe())
+        # The create stalled until the hang window passed.
+        assert starts == [pytest.approx(35.0)]
+        assert handle.created == handle.destroyed == 1
+        assert handle.spills_dropped == 0
 
 
 def _req():

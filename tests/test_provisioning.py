@@ -10,7 +10,8 @@ import hashlib
 import pytest
 
 from repro.provisioning import FULL_PROVISIONING, ProvisioningConfig
-from repro.sim.cluster import build_testbed
+from repro.plant.speculative import AdaptiveSpeculativePool
+from repro.sim.cluster import PEER_STORE_MB, build_testbed
 from repro.sim.host import HostStateCache
 from repro.workloads.requests import experiment_request, request_stream
 
@@ -20,37 +21,43 @@ from tests.helpers import drive
 class TestProvisioningConfig:
     def test_defaults_disabled(self):
         config = ProvisioningConfig()
-        assert not config.enabled
         assert config.host_cache_mb == 0.0
         assert not config.coalesce_transfers
         assert not config.speculative_pools
 
     def test_full_enabled(self):
-        assert FULL_PROVISIONING.enabled
+        assert FULL_PROVISIONING.host_cache_mb > 0
+        assert FULL_PROVISIONING.coalesce_transfers
         assert FULL_PROVISIONING.speculative_pools
 
-    def test_without_pools(self):
-        trimmed = FULL_PROVISIONING.without_pools()
-        assert not trimmed.speculative_pools
-        assert trimmed.coalesce_transfers
-        assert trimmed.host_cache_mb == FULL_PROVISIONING.host_cache_mb
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"host_cache_mb": -1.0},
-            {"pool_target_hit_rate": 0.0},
-            {"pool_target_hit_rate": 1.5},
-            {"pool_min_target": -1},
-            {"pool_min_target": 5, "pool_max_target": 2},
-            {"pool_window": 1},
-            {"pool_lead_time_s": 0.0},
-            {"pool_bid_discount": 0.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"host_cache_mb": -1.0}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ProvisioningConfig(**kwargs)
+
+    def test_mechanisms_keep_their_tunable_defaults(self):
+        """The testbed builds pools, planner and placer with their own
+        constructor defaults: the values the config used to carry."""
+        bed = build_testbed(seed=5, n_plants=2, provisioning=FULL_PROVISIONING)
+        pool = bed.pools[0]
+        assert (
+            pool.target_hit_rate,
+            pool.min_target,
+            pool.max_target,
+            pool.window,
+            pool.lead_time_s,
+            pool.bid_discount,
+        ) == (0.9, 0, 4, 8, 45.0, 0.25)
+        assert bed.distribution.fanout == 2
+        assert bed.distribution.peer_bandwidth_mbps == 110.0
+        placer = bed.placer
+        assert (placer.period_s, placer.top_k, placer.seed_hosts) == (
+            120.0, 2, 2,
+        )
+        assert PEER_STORE_MB == 1024.0
+        assert all(
+            h.state_cache.capacity_mb == PEER_STORE_MB for h in bed.hosts
+        )
 
 
 class TestHostStateCache:
@@ -176,17 +183,37 @@ class TestTransferCoalescing:
 
 
 class TestAdaptivePools:
-    def _bed(self, **overrides):
-        params = dict(
-            host_cache_mb=512.0,
-            coalesce_transfers=True,
-            speculative_pools=True,
-            pool_lead_time_s=120.0,
+    def _bed(self, **pool_kw):
+        """One plant with a pool sized for a 120 s fill lead time."""
+        bed = build_testbed(
+            seed=5,
+            n_plants=1,
+            provisioning=ProvisioningConfig(
+                host_cache_mb=512.0, coalesce_transfers=True
+            ),
         )
-        params.update(overrides)
-        return build_testbed(
-            seed=5, n_plants=1, provisioning=ProvisioningConfig(**params)
-        )
+        pool_kw.setdefault("lead_time_s", 120.0)
+        manager = AdaptiveSpeculativePool(bed.plants[0], **pool_kw)
+        bed.plants[0].attach_speculative(manager)
+        bed.pools.append(manager)
+        return bed
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"target_hit_rate": 0.0},
+            {"target_hit_rate": 1.5},
+            {"min_target": -1},
+            {"min_target": 5, "max_target": 2},
+            {"window": 1},
+            {"lead_time_s": 0.0},
+            {"bid_discount": 0.0},
+        ],
+    )
+    def test_validation(self, kwargs):
+        bed = build_testbed(seed=5, n_plants=1)
+        with pytest.raises(ValueError):
+            AdaptiveSpeculativePool(bed.plants[0], **kwargs)
 
     def test_miss_then_refill_then_hit(self):
         bed = self._bed()
@@ -246,7 +273,7 @@ class TestAdaptivePools:
         assert warm_bid < cold_bid
 
     def test_desired_target_tracks_arrival_rate(self):
-        bed = self._bed(pool_max_target=4, pool_target_hit_rate=1.0)
+        bed = self._bed(max_target=4, target_hit_rate=1.0)
         manager = bed.pools[0]
         key = ("dom", "os", None, "vmware")
         # One arrival: keep a single warm clone around.
@@ -351,8 +378,9 @@ class TestDisabledLayerIsInvisible:
 
     def test_testbed_defaults_carry_no_machinery(self):
         bed = build_testbed(seed=11, n_plants=2)
-        assert not bed.provisioning.enabled
+        assert bed.provisioning == ProvisioningConfig()
         assert bed.pools == []
+        assert bed.distribution is None and bed.placer is None
         assert all(h.state_cache is None for h in bed.hosts)
         assert all(p.speculative is None for p in bed.plants)
         for line_list in bed.lines.values():
